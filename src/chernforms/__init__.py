@@ -5,122 +5,15 @@ values carry second-order jets where derivatives are needed, supertraces
 of graded exponentials produce the character and transgression forms of a
 superconnection with an odd morphism, and fiberwise Berezin integrals
 produce Thom representatives of metric bundles. A small harness
-(``chernforms verify``) reruns the numeric cross-checks.
+(``chernforms verify``) reruns the numeric cross-checks. The layers are
+imported from their modules (``chernforms.quillen``, ``chernforms.thom``, ...);
+the package root exports only the harness entry points.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exterior import (
-    ChartPoint,
-    FormField,
-    FormValue,
-    OutsideDomainError,
-    as_point,
-    exterior_derivative,
-    partition_pair,
-    smooth_cutoff,
-    wedge,
-)
-from .quillen import (
-    MorphismBundle,
-    SuperConnectionData,
-    b_forms,
-    beta_form,
-    ch_rel,
-    ch_sup_rep,
-    chern_form,
-    delta_form,
-    eta_form,
-    tensor_connection,
-    tensor_morphism,
-)
-from .relative import (
-    RelativeCochain,
-    SupportDescriptor,
-    d_rel,
-    integrate_compact,
-    integrate_fiber,
-    p_chi,
-    product_phi,
-)
 from .scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
-from .superlinalg import (
-    HermitianEndo,
-    ParitySplit,
-    SuperMatrixForm,
-    graded_exp,
-    graded_norm,
-    smallest_eigenvalue,
-    star_product,
-    supertrace,
-    volterra_exp,
-)
-from .thom import (
-    EuclideanBundle,
-    a_hat_genus,
-    a_hat_inverse,
-    beta_wedge,
-    c_wedge,
-    eta_wedge,
-    euler_form,
-    riemann_roch_check,
-    thom_c,
-    thom_mq,
-    thom_rel,
-)
 
-__all__ = [
-    "__version__",
-    "ChartPoint",
-    "FormField",
-    "FormValue",
-    "OutsideDomainError",
-    "as_point",
-    "exterior_derivative",
-    "partition_pair",
-    "smooth_cutoff",
-    "wedge",
-    "MorphismBundle",
-    "SuperConnectionData",
-    "b_forms",
-    "beta_form",
-    "ch_rel",
-    "ch_sup_rep",
-    "chern_form",
-    "delta_form",
-    "eta_form",
-    "tensor_connection",
-    "tensor_morphism",
-    "RelativeCochain",
-    "SupportDescriptor",
-    "d_rel",
-    "integrate_compact",
-    "integrate_fiber",
-    "p_chi",
-    "product_phi",
-    "SCENARIO_NAMES",
-    "ScenarioConfig",
-    "run_scenario",
-    "HermitianEndo",
-    "ParitySplit",
-    "SuperMatrixForm",
-    "graded_exp",
-    "graded_norm",
-    "smallest_eigenvalue",
-    "star_product",
-    "supertrace",
-    "volterra_exp",
-    "EuclideanBundle",
-    "a_hat_genus",
-    "a_hat_inverse",
-    "beta_wedge",
-    "c_wedge",
-    "eta_wedge",
-    "euler_form",
-    "riemann_roch_check",
-    "thom_c",
-    "thom_mq",
-    "thom_rel",
-]
+__all__ = ["__version__", "SCENARIO_NAMES", "ScenarioConfig", "run_scenario"]

@@ -2,7 +2,10 @@
 
 ``chernforms verify <scenario|all>`` runs the named scenario's checks and
 writes a JSON or markdown report. The exit status reflects only gating
-checks; informational scenarios may fail without failing the run.
+checks; informational scenarios may fail without failing the run. Invalid
+settings (a negative seed, a non-positive quadrature order, a tolerance
+scale that is not positive and finite) exit with status 2 before any
+check runs.
 """
 
 from __future__ import annotations
@@ -33,25 +36,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--format", choices=("json", "markdown"), default="json")
     verify.add_argument("--out", default=None, help="write the report to a file")
-    verify.add_argument(
-        "--parallel", action="store_true", help="run a scenario's checks in threads"
-    )
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _config(args) -> ScenarioConfig:
     quad_order = args.quad_order
     if quad_order is None:
         env = os.environ.get("CHERNFORMS_QUAD_ORDER")
         if env:
-            quad_order = int(env)
-    config = ScenarioConfig(
-        seed=args.seed,
-        tol_scale=args.tol_scale,
-        quad_order=quad_order,
-        parallel=args.parallel,
-    )
+            try:
+                quad_order = int(env)
+            except ValueError:
+                raise ValueError(f"CHERNFORMS_QUAD_ORDER is not an integer: {env!r}") from None
+    return ScenarioConfig(seed=args.seed, tol_scale=args.tol_scale, quad_order=quad_order)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _config(args)
+    except ValueError as exc:
+        parser.exit(2, f"chernforms: error: {exc}\n")
     names = SCENARIO_NAMES if args.scenario == "all" else (args.scenario,)
     results = []
     for name in names:

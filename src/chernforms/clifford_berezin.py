@@ -36,7 +36,6 @@ from .superlinalg import (
     SuperMatrixForm,
     coefficient_to_slots,
     jet_slots,
-    supertrace,
 )
 
 __all__ = [
@@ -88,14 +87,6 @@ class GradedElement:
 
     # -- helpers ---------------------------------------------------------
 
-    @staticmethod
-    def zero(algebra: str, dim_v: int, chart_dim: int) -> "GradedElement":
-        return GradedElement(algebra, dim_v, chart_dim, {})
-
-    @staticmethod
-    def scalar(algebra: str, dim_v: int, fv: FormValue) -> "GradedElement":
-        return GradedElement(algebra, dim_v, fv.chart_dim, {(): fv})
-
     def coefficient(self, subset: tuple[int, ...]) -> FormValue:
         return self.terms.get(tuple(subset), FormValue.zero(self.chart_dim))
 
@@ -121,15 +112,6 @@ class GradedElement:
         )
 
     __rmul__ = __mul__
-
-    def scale_form(self, fv: FormValue) -> "GradedElement":
-        """Left multiplication by a pure form (no generator content)."""
-        return GradedElement(
-            self.algebra,
-            self.dim_v,
-            self.chart_dim,
-            {s: wedge(fv, c) for s, c in self.terms.items()},
-        )
 
     def prune(self, tol: float = 0.0) -> "GradedElement":
         return GradedElement(
@@ -453,8 +435,3 @@ def spinor_rep(
     if not comps:
         comps[()] = np.zeros((slots, 2, 2), dtype=complex)
     return SuperMatrixForm(ParitySplit(1, 1), m, comps)
-
-
-def spinor_supertrace(mat: SuperMatrixForm) -> FormValue:
-    """Supertrace of a represented element (plus block first)."""
-    return supertrace(mat)

@@ -27,6 +27,7 @@ __all__ = [
     "merge_multiindex",
     "wedge",
     "exterior_derivative",
+    "curvature_entry",
     "smooth_cutoff",
     "partition_pair",
     "degree_involution",
@@ -138,9 +139,6 @@ class FormValue:
             return 0.0
         return max(abs(jet_value(c)) for c in self.terms.values())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
-
     # -- algebra -----------------------------------------------------------
 
     def _binary(self, other, op):
@@ -172,15 +170,6 @@ class FormValue:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def wedge(self, other: "FormValue") -> "FormValue":
-        return wedge(self, other)
-
-    def conjugate(self) -> "FormValue":
-        out = {}
-        for index, coeff in self.terms.items():
-            out[index] = coeff.conjugate() if isinstance(coeff, Jet) else np.conj(coeff)
-        return FormValue(self.chart_dim, out, validate=False)
 
     def strip_jets(self) -> "FormValue":
         """Forget derivative information, keeping plain complex coefficients."""
@@ -272,6 +261,18 @@ def differentiate_value(fv: FormValue) -> FormValue:
                 part = -part
             out[merged] = out[merged] + part if merged in out else part
     return FormValue(m, out, validate=False)
+
+
+def curvature_entry(w, l: int, i: int) -> FormValue:
+    """Entry [l][i] of F = dW + W ^ W for a square matrix W of 1-form values.
+
+    The terms are summed in a fixed order: d W[l][i], then W[l][k] ^ W[k][i]
+    for k ascending. F carries one jet order less than W.
+    """
+    f = differentiate_value(w[l][i])
+    for k in range(len(w)):
+        f = f + wedge(w[l][k], w[k][i])
+    return f
 
 
 def exterior_derivative(f: FormField) -> FormField:

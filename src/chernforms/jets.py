@@ -156,13 +156,6 @@ class Jet:
         r = np.sqrt(self.value)
         return self._lift(r, 0.5 / r, -0.25 / r**3)
 
-    def conjugate(self):
-        return Jet(
-            np.conj(self.value),
-            np.conj(self.grad),
-            None if self.hess is None else np.conj(self.hess),
-        )
-
 
 def jet_value(x) -> complex:
     """The plain value of a coefficient that may be a Jet or a number."""

@@ -1,8 +1,8 @@
 """Quadrature and interpolation helpers shared across the package.
 
 Thin caching wrappers around numpy's Gauss-Legendre / Gauss-Hermite node
-generators, a vector-valued order-doubling integrator, and barycentric
-Chebyshev interpolation used to cache expensive integrands.
+generators, the tail cutoff of Gaussian-decaying t-integrals, and
+barycentric Chebyshev interpolation used to cache expensive integrands.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ import numpy as np
 __all__ = [
     "gauss_legendre",
     "gauss_hermite",
-    "integrate_doubling",
+    "tail_cutoff",
     "chebyshev_nodes",
     "barycentric_matrix",
 ]
+
+TAIL_FLOOR = 4.0
+TAIL_SCALE = 8.0
 
 
 @lru_cache(maxsize=64)
@@ -38,34 +41,15 @@ def gauss_legendre(order: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def integrate_doubling(
-    f,
-    a: float,
-    b: float,
-    start_order: int = 32,
-    tol: float = 1e-10,
-    max_order: int = 256,
-):
-    """Integrate a vector-valued callable with Gauss-Legendre order doubling.
+def tail_cutoff(h: float, t_lo: float) -> float:
+    """Upper end T0 of a t-integral on [t_lo, inf) decaying like e^{-h t^2}.
 
-    ``f`` maps an array of sample points (T,) to an array (T, ...) of
-    integrand values; the integral is taken over the leading axis. Doubles
-    the order until the sup-norm change is below ``tol`` (absolute) or
-    ``max_order`` is reached.
-
-    Returns (integral, converged).
+    T0 = max(TAIL_FLOOR, TAIL_SCALE / sqrt(h), t_lo + 1), so h T0^2 >= TAIL_SCALE^2
+    and the dropped tail is O(e^{-TAIL_SCALE^2}) of the local scale.
     """
-    order = start_order
-    x, w = gauss_legendre(order, a, b)
-    prev = np.tensordot(w, f(x), axes=(0, 0))
-    while order < max_order:
-        order *= 2
-        x, w = gauss_legendre(order, a, b)
-        cur = np.tensordot(w, f(x), axes=(0, 0))
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur, True
-        prev = cur
-    return prev, False
+    if h <= 0.0:
+        raise ValueError("no Gaussian decay here (no spectral gap)")
+    return max(TAIL_FLOOR, TAIL_SCALE / np.sqrt(h), t_lo + 1.0)
 
 
 def chebyshev_nodes(order: int, a: float, b: float) -> np.ndarray:

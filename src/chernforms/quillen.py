@@ -27,7 +27,7 @@ import numpy as np
 
 from .exterior import ChartPoint, FormField, FormValue, as_point
 from .jets import jet_constant
-from .quadrature import barycentric_matrix, chebyshev_nodes, gauss_legendre
+from .quadrature import barycentric_matrix, chebyshev_nodes, gauss_legendre, tail_cutoff
 from .relative import RelativeCochain, SupportDescriptor, p_chi
 from .superlinalg import (
     ParitySplit,
@@ -46,7 +46,6 @@ __all__ = [
     "MorphismBundle",
     "SuperConnectionData",
     "v_sigma",
-    "curvature",
     "chern_form",
     "eta_form",
     "beta_form",
@@ -58,11 +57,8 @@ __all__ = [
     "b_forms",
 ]
 
-# Quadrature plan for the beta tail: integrate eta on [t_lo, T0] with
-# T0 = max(T0_FLOOR, T0_SCALE/sqrt(h)); then h T0^2 >= T0_SCALE^2 and the
-# dropped tail is O(e^{-T0_SCALE^2}) of the local scale.
-T0_FLOOR = 4.0
-T0_SCALE = 8.0
+# The beta tail is integrated on [t_lo, tail_cutoff(h, t_lo)]; Gauss-Legendre
+# orders double from 32 to at most 256 until two agree to BETA_QUAD_TOL.
 BETA_QUAD_TOL = 1e-10
 
 # Chebyshev cache used by the double-integral correction forms.
@@ -76,16 +72,13 @@ class MorphismBundle:
 
     ``sigma(point)`` returns the matrix of sigma: E+ -> E- as a jet stack of
     shape (1 + m + m^2, minus_dim, plus_dim): value, gradients, row-major
-    Hessian. ``support`` describes where sigma fails to be invertible;
-    ``growth`` optionally records (radius, lower bound) hints for how
-    sigma^* sigma grows outside that radius.
+    Hessian. ``support`` describes where sigma fails to be invertible.
     """
 
     split: ParitySplit
     chart_dim: int
     sigma: Callable[[ChartPoint], np.ndarray]
     support: SupportDescriptor
-    growth: tuple[float, float] | None = None
 
 
 @dataclass
@@ -165,17 +158,6 @@ class _CurvaturePieces:
         return SuperMatrixForm(split, m, out)
 
 
-def curvature(
-    b: MorphismBundle, a: SuperConnectionData, t: float, jet_order: int = 0
-) -> Callable[[ChartPoint], SuperMatrixForm]:
-    """The scaled curvature F(sigma, A, t) as a point function."""
-
-    def at_point(point):
-        return _CurvaturePieces(b, a, point, jet_order).at(t)
-
-    return at_point
-
-
 def chern_form(
     b: MorphismBundle, a: SuperConnectionData, t: float, jet_order: int = 0
 ) -> FormField:
@@ -232,12 +214,6 @@ def _eta_values(pieces: _CurvaturePieces, ts: np.ndarray) -> dict:
     return out
 
 
-def _tail_cutoff(h: float, t_lo: float) -> float:
-    if h <= 0.0:
-        raise ValueError("morphism is degenerate here (no spectral gap)")
-    return max(T0_FLOOR, T0_SCALE / np.sqrt(h), t_lo + 1.0)
-
-
 def _quad_eta(pieces, t_lo: float, t_hi: float, order: int) -> dict:
     ts, ws = gauss_legendre(order, t_lo, t_hi)
     vals = _eta_values(pieces, ts)
@@ -258,7 +234,10 @@ def _integrate_eta(pieces, t_lo: float, t_hi: float) -> dict:
         if delta < BETA_QUAD_TOL:
             return cur
         prev = cur
-    return prev
+    raise RuntimeError(
+        f"eta quadrature on [{t_lo:g}, {t_hi:g}] did not converge: the order-{order} "
+        f"step still moved by {delta:.3g} (tolerance {BETA_QUAD_TOL:g})"
+    )
 
 
 def _slots_form(arrs: dict, m: int) -> FormValue:
@@ -283,7 +262,7 @@ def beta_form(
 
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
-        t_hi = _tail_cutoff(pieces.h, t_lo)
+        t_hi = tail_cutoff(pieces.h, t_lo)
         return _slots_form(_integrate_eta(pieces, t_lo, t_hi), m)
 
     return FormField(
@@ -479,6 +458,8 @@ def b_forms(
     """
     phi1, phi2 = phis
     m = b1.chart_dim
+    # Callers evaluate B1 and B2 back to back at one point, so only the last
+    # point is kept.
     cache: dict[bytes, tuple[FormValue, FormValue]] = {}
 
     def compute(p: ChartPoint) -> tuple[FormValue, FormValue]:
@@ -487,7 +468,7 @@ def b_forms(
             return cache[key]
         pc1 = _CurvaturePieces(b1, a1, p, jet_order)
         pc2 = _CurvaturePieces(b2, a2, p, jet_order)
-        t_hi = _tail_cutoff(min(pc1.h, pc2.h), 0.0)
+        t_hi = tail_cutoff(min(pc1.h, pc2.h), 0.0)
         nodes = chebyshev_nodes(BFORM_CHEB_ORDER, 0.0, t_hi)
         eta1_nodes = _eta_values(pc1, nodes)
         eta2_nodes = _eta_values(pc2, nodes)
@@ -521,6 +502,7 @@ def b_forms(
         w2 = phi2(p).coefficient(())
         fv1 = _slots_form(raw1, m) * w1
         fv2 = _slots_form(raw2, m) * w2
+        cache.clear()
         cache[key] = (fv1, fv2)
         return cache[key]
 

@@ -233,7 +233,8 @@ def integrate_fiber(
     mode "compact" integrates over [-half_width, half_width]^d with
     Gauss-Legendre; mode "gaussian" uses Gauss-Hermite weights for
     integrands decaying like exp(-gauss_scale * |x|^2) and covers the whole
-    fiber.
+    fiber; it raises ValueError for an order whose rescaled weights
+    w e^{y^2} are not all finite and positive (above about order 370).
     """
     m = field.chart_dim
     fiber = tuple(fiber_dims)
@@ -252,9 +253,16 @@ def integrate_fiber(
         x1, w1 = gauss_legendre(order, -half_width, half_width)
         axes = [(x1, w1)] * d
     elif mode == "gaussian":
-        y, wgh = gauss_hermite(order)
+        with np.errstate(all="ignore"):
+            y, wgh = gauss_hermite(order)
+            scaled = wgh * np.exp(y * y)
+        if not np.all(np.isfinite(scaled) & (scaled > 0.0)):
+            raise ValueError(
+                f"Gauss-Hermite order {order} is unusable: its weights times "
+                "e^{y^2} underflow or overflow"
+            )
         root = np.sqrt(gauss_scale)
-        axes = [(y / root, wgh * np.exp(y * y) / root)] * d
+        axes = [(y / root, scaled / root)] * d
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

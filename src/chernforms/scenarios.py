@@ -11,9 +11,8 @@ sees the same points.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import cos, factorial, pi, sin
+from math import cos, factorial, isfinite, pi, sin
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,12 +66,12 @@ from .superlinalg import (
 )
 from .thom import (
     EuclideanBundle,
-    a_hat_inverse,
+    _genus_weighted,
     beta_wedge,
     c_wedge,
     eta_wedge,
     euler_form,
-    lift_to_total,
+    riemann_roch_sides,
     spin_connection,
     spin_morphism,
     thom_c,
@@ -92,13 +91,24 @@ class ScenarioConfig:
     ``quad_order`` overrides the per-check default order of the big
     compact-box and compact-fiber integrals only; the Gaussian and
     transgression quadratures keep their tuned defaults. ``tol_scale``
-    multiplies every tolerance (useful for exploring margins).
+    multiplies every tolerance (useful for exploring margins). A negative
+    seed, an order that is not a positive integer, or a scale that is not
+    positive and finite raises ValueError.
     """
 
     seed: int = 0
     tol_scale: float = 1.0
     quad_order: int | None = None
-    parallel: bool = False
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        if self.quad_order is not None and not (
+            isinstance(self.quad_order, (int, np.integer)) and self.quad_order > 0
+        ):
+            raise ValueError(f"quad_order must be a positive integer, got {self.quad_order!r}")
+        if not (isfinite(self.tol_scale) and self.tol_scale > 0.0):
+            raise ValueError(f"tol_scale must be positive and finite, got {self.tol_scale!r}")
 
 
 class _Outcome(NamedTuple):
@@ -545,22 +555,15 @@ def _riemann_roch_checks(config: ScenarioConfig):
     def character_identity():
         morphism = spin_morphism(bundle)
         connection = spin_connection(bundle)
-        genus = a_hat_inverse(bundle)
-
-        def weighted(inner: FormField, p: ChartPoint) -> FormValue:
-            lifted = lift_to_total(genus(ChartPoint(p.coords[:2])), 2, 2)
-            return wedge(lifted, inner(p)) * (-2j)
-
         pts = _total_points(_rng(config, 9), 20)
         ch_devs, eta_devs = [], []
         for t in (0.0, 1.0, 2.0):
-            ch_l = chern_form(morphism, connection, t)
+            ch_l, ch_r = riemann_roch_sides(bundle, t)
             eta_l = eta_form(morphism, connection, t)
-            ch_r = c_wedge(bundle, t)
-            eta_r = eta_wedge(bundle, t)
+            eta_r = _genus_weighted(bundle, eta_wedge(bundle, t), -2j)
             for p in pts:
-                ch_devs.append(((ch_l(p) - weighted(ch_r, p)).max_abs(), 1.0))
-                eta_devs.append(((eta_l(p) - weighted(eta_r, p)).max_abs(), 1.0))
+                ch_devs.append(((ch_l(p) - ch_r(p)).max_abs(), 1.0))
+                eta_devs.append(((eta_l(p) - eta_r(p)).max_abs(), 1.0))
         return [
             _sweep_outcome(ch_devs, "character vs weighted Gaussian form", "0", 1e-9, "abs"),
             _sweep_outcome(eta_devs, "transgression vs weighted form", "0", 1e-9, "abs"),
@@ -755,7 +758,4 @@ def run_scenario(name: str, config: ScenarioConfig | None = None) -> list[CheckR
             gating=gating,
         )
 
-    if config.parallel and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(checks))) as pool:
-            return list(pool.map(execute, checks))
     return [execute(item) for item in checks]

@@ -29,8 +29,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .exterior import FormValue, epsilon_sign, merge_multiindex
+from .exterior import FormValue, merge_multiindex
 from .jets import Jet
+from .quadrature import gauss_legendre
 
 __all__ = [
     "ParitySplit",
@@ -185,22 +186,6 @@ class SuperMatrixForm:
             return self.components[tuple(index)]
         except KeyError:
             return np.zeros((self.slots, n, n), dtype=complex)
-
-    def batch_select(self, b: int) -> "SuperMatrixForm":
-        """Strip one leading batch axis at position b along axis 0."""
-        return SuperMatrixForm(
-            self.split,
-            self.chart_dim,
-            {i: c[b] for i, c in self.components.items()},
-        )
-
-    def entry(self, row: int, col: int) -> FormValue:
-        """The (row, col) matrix entry as a form value (0-based indices)."""
-        out = {}
-        m = self.chart_dim
-        for i, c in self.components.items():
-            out[i] = _slots_to_coefficient(c[..., row, col], m)
-        return FormValue(self.chart_dim, out, validate=False)
 
 
 def _slots_to_coefficient(slot_vec: np.ndarray, m: int):
@@ -445,12 +430,6 @@ def smallest_eigenvalue(h) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-@lru_cache(maxsize=32)
-def _gl_unit(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _simplex_nodes(k: int, order: int):
     """Nodes (s_1..s_{k+1}) and weights for the ordered k-simplex.
 
@@ -458,7 +437,7 @@ def _simplex_nodes(k: int, order: int):
     the ordered variables tau_j = u_1 ... u_j with Jacobian
     prod u_i^{k-i}.
     """
-    u1, w1 = _gl_unit(order)
+    u1, w1 = gauss_legendre(order, 0.0, 1.0)
     grids = np.meshgrid(*([u1] * k), indexing="ij")
     u = np.stack([a.reshape(-1) for a in grids], axis=1)
     wgrids = np.meshgrid(*([w1] * k), indexing="ij")

@@ -45,12 +45,12 @@ from .exterior import (
     FormField,
     FormValue,
     as_point,
-    differentiate_value,
+    curvature_entry,
     epsilon_sign,
     wedge,
 )
 from .jets import Jet, jet_constant, jet_coordinates
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, tail_cutoff
 from .quillen import (
     MorphismBundle,
     SuperConnectionData,
@@ -66,9 +66,6 @@ __all__ = [
     "EuclideanBundle",
     "epsilon_d",
     "zero_section",
-    "curvature_matrix",
-    "curvature_element",
-    "eta_frame",
     "connection_lifted",
     "f_t_element",
     "c_wedge",
@@ -89,9 +86,6 @@ __all__ = [
     "riemann_roch_sides",
     "riemann_roch_check",
 ]
-
-BETA_T_FLOOR = 4.0
-BETA_T_SCALE = 8.0
 
 
 @dataclass
@@ -179,7 +173,7 @@ def lift_to_total(fv: FormValue, base_dim: int, rank: int) -> FormValue:
 class _FrameData:
     """Per-point frame quantities on the total chart."""
 
-    __slots__ = ("bundle", "m", "d", "w", "fmat", "eta", "ef", "xs", "r2", "h")
+    __slots__ = ("bundle", "m", "d", "w", "eta", "ef", "xs", "r2", "h")
 
     def __init__(self, bundle: EuclideanBundle, point, jet_order: int):
         if jet_order not in (0, 1):
@@ -195,16 +189,6 @@ class _FrameData:
         self.w = [
             [lift_to_total(w_base[l][i], mb, d) for i in range(d)] for l in range(d)
         ]
-        # F = dW + W ^ W, one jet order below W.
-        self.fmat = []
-        for l in range(d):
-            row = []
-            for i in range(d):
-                f = differentiate_value(self.w[l][i])
-                for k in range(d):
-                    f = f + wedge(self.w[l][k], self.w[k][i])
-                row.append(f)
-            self.fmat.append(row)
         if jet_order == 0:
             fiber = [complex(x) for x in p.coords[mb:]]
             one = 1.0
@@ -228,7 +212,7 @@ class _FrameData:
             d,
             m,
             {
-                (i + 1, j + 1): self.fmat[j][i]
+                (i + 1, j + 1): curvature_entry(self.w, j, i)
                 for i in range(d)
                 for j in range(i + 1, d)
             },
@@ -260,21 +244,6 @@ class _FrameData:
 
     def eta_value(self, t: float) -> FormValue:
         return berezin_T(algebra_mul(self.x_element(), self.f_exp(t))) * (-1.0)
-
-
-def curvature_matrix(bundle: EuclideanBundle, point) -> list[list[FormValue]]:
-    """F = dW + W ^ W on the total chart (order-1 jets)."""
-    return _FrameData(bundle, point, 1).fmat
-
-
-def curvature_element(bundle: EuclideanBundle, point) -> GradedElement:
-    """sum_{i<j} F[j,i] e_i e_j."""
-    return _FrameData(bundle, point, 1).ef
-
-
-def eta_frame(bundle: EuclideanBundle, point, jet_order: int = 1) -> list[FormValue]:
-    """The covariant fiber coframe eta_i = dx_i + sum_k x_k W[i,k]."""
-    return _FrameData(bundle, point, jet_order).eta
 
 
 def connection_lifted(
@@ -403,7 +372,7 @@ def beta_wedge(
             raise ValueError("on the zero section (no fiber decay)")
         if method == "closed":
             return _beta_closed(frame)
-        t_hi = max(BETA_T_FLOOR, BETA_T_SCALE / sqrt(frame.h))
+        t_hi = tail_cutoff(frame.h, 0.0)
         ts, ws = gauss_legendre(quad_order, 0.0, t_hi)
         total = FormValue.zero(frame.m)
         for t, weight in zip(ts, ws):
@@ -465,13 +434,11 @@ def euler_form(bundle: EuclideanBundle) -> FormField:
 
     def evaluate(p: ChartPoint) -> FormValue:
         w = bundle.connection(p)
-        terms = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                f = differentiate_value(w[j][i])
-                for k in range(d):
-                    f = f + wedge(w[j][k], w[k][i])
-                terms[(i + 1, j + 1)] = f
+        terms = {
+            (i + 1, j + 1): curvature_entry(w, j, i)
+            for i in range(d)
+            for j in range(i + 1, d)
+        }
         ef = GradedElement(WEDGE, d, mb, terms)
         return berezin_T(wedge_exp(ef * 0.5)) * scale
 
@@ -569,15 +536,7 @@ def _a_hat_field(bundle: EuclideanBundle, sign: float, name: str) -> FormField:
     def evaluate(p: ChartPoint) -> FormValue:
         w = bundle.connection(p)
         d = bundle.rank
-        fmat = []
-        for l in range(d):
-            row = []
-            for i in range(d):
-                f = differentiate_value(w[l][i])
-                for k in range(d):
-                    f = f + wedge(w[l][k], w[k][i])
-                row.append(f)
-            fmat.append(row)
+        fmat = [[curvature_entry(w, l, i) for i in range(d)] for l in range(d)]
         return _form_exp(_tr_log_s(fmat, mb) * sign)
 
     return FormField(mb, evaluate, name=name)
@@ -655,10 +614,7 @@ def clifford_curvature(bundle: EuclideanBundle, rep: SpinorRep2 | None = None):
     def evaluate(point):
         p = as_point(point)
         w = bundle.connection(ChartPoint(p.coords[:mb]))
-        f = differentiate_value(w[1][0])
-        for k in range(2):
-            f = f + wedge(w[1][k], w[k][0])
-        elem = GradedElement(CLIFFORD, 2, mb, {(1, 2): f * 0.5})
+        elem = GradedElement(CLIFFORD, 2, mb, {(1, 2): curvature_entry(w, 1, 0) * 0.5})
         mat = spinor_rep(elem, rep, order=1)
         mat.components.pop((), None)
         return mat

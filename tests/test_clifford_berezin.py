@@ -19,14 +19,13 @@ from chernforms.clifford_berezin import (
     evaluate_entire,
     pfaffian,
     spinor_rep,
-    spinor_supertrace,
     symbol_inverse,
     symbol_map,
     tau_map,
     wedge_exp,
 )
 from chernforms.exterior import FormValue, wedge
-from chernforms.superlinalg import graded_exp
+from chernforms.superlinalg import graded_exp, supertrace
 
 ASSOC_TOL = 1e-10
 RELATION_TOL = 1e-9
@@ -182,7 +181,7 @@ def test_supertrace_relation_dim2():
         b = complex(RNG.normal(0, 0.8), RNG.normal(0, 0.3))
         bfv = FormValue.scalar(b, m)
         element = GradedElement(CLIFFORD, 2, m, {(1, 2): bfv})
-        lhs = spinor_supertrace(graded_exp(spinor_rep(element, rep))).value(())
+        lhs = supertrace(graded_exp(spinor_rep(element, rep))).value(())
 
         phi = tau_map(element)[1, 0]
         half_det = np.sin(phi / 2.0) / (phi / 2.0)
@@ -192,7 +191,7 @@ def test_supertrace_relation_dim2():
         assert abs(lhs - (-2j) * np.sin(b)) < RELATION_TOL
 
         # same relation with the closed-form exponential on the left
-        closed = spinor_supertrace(spinor_rep(clifford_exp_dim2(zero, zero, bfv), rep))
+        closed = supertrace(spinor_rep(clifford_exp_dim2(zero, zero, bfv), rep))
         assert abs(closed.value(()) - rhs) < RELATION_TOL
 
 
@@ -205,7 +204,7 @@ def test_supertrace_relation_with_form_parts():
         b2 = complex(RNG.normal(), RNG.normal())
         bfv = FormValue(m, {(): b0, (1, 2): b2})
         element = GradedElement(CLIFFORD, 2, m, {(1, 2): bfv})
-        lhs = spinor_supertrace(graded_exp(spinor_rep(element, rep)))
+        lhs = supertrace(graded_exp(spinor_rep(element, rep)))
 
         # sin(b)/b of the full (scalar + nilpotent) coefficient
         half_det = evaluate_entire("sinc", bfv)

@@ -78,16 +78,6 @@ def test_runs_are_deterministic_modulo_runtime():
     assert _strip_runtime(a) == _strip_runtime(b)
 
 
-def test_parallel_matches_serial():
-    serial = run_scenario("appendix_bounds", ScenarioConfig(seed=2))
-    threaded = run_scenario("appendix_bounds", ScenarioConfig(seed=2, parallel=True))
-    assert [r.check_id for r in serial] == [r.check_id for r in threaded]
-    for s, t in zip(serial, threaded):
-        assert s.abs_err == t.abs_err
-        assert s.rel_err == t.rel_err
-        assert s.passed == t.passed
-
-
 def test_tol_scale_is_applied():
     strict = run_scenario("s2_euler", ScenarioConfig(tol_scale=1e-18))
     assert not strict[0].passed
@@ -124,6 +114,42 @@ def test_cli_env_quad_order(tmp_path, monkeypatch):
     code = main(["verify", "s2_euler", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_bytes())["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (["--seed", "-1"], None),
+        (["--quad-order", "0"], None),
+        (["--quad-order", "-4"], None),
+        (["--tol-scale", "0"], None),
+        (["--tol-scale", "-1"], None),
+        (["--tol-scale", "nan"], None),
+        (["--tol-scale", "inf"], None),
+        ([], "0"),
+        ([], "-4"),
+        ([], "twelve"),
+    ],
+)
+def test_cli_rejects_invalid_settings(tmp_path, monkeypatch, flags, env):
+    if env is None:
+        monkeypatch.delenv("CHERNFORMS_QUAD_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("CHERNFORMS_QUAD_ORDER", env)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "s2_euler", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}, {"quad_order": 0}, {"quad_order": 2.5}, {"tol_scale": -1.0}, {"tol_scale": float("inf")}],
+)
+def test_scenario_config_rejects_invalid_settings(kwargs):
+    with pytest.raises(ValueError):
+        ScenarioConfig(**kwargs)
 
 
 def test_cli_rejects_unknown_scenario():

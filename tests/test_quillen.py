@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from chernforms.exterior import (
     ChartPoint,
     FormField,
     FormValue,
     differentiate_value,
-    exterior_derivative,
     partition_pair,
     smooth_cutoff,
     wedge,
 )
-from chernforms.jets import jet_constant, jet_coordinates
 from chernforms.quillen import (
     SuperConnectionData,
     b_forms,
@@ -267,23 +266,8 @@ def test_cylinder_winding_branches():
     assert low.max_abs() < 1e-8
 
 
-def test_growth_hint_changes_nothing_numerically():
-    """An explicit lower bound hint reproduces the default quadrature result."""
-
-    def modulus(p):
-        return float(np.hypot(*np.asarray(p.coords if hasattr(p, "coords") else p)))
-
-    from chernforms.quillen import MorphismBundle
-
-    plain = bott_morphism()
-    hinted = MorphismBundle(
-        split=plain.split,
-        chart_dim=2,
-        sigma=plain.sigma,
-        support=plain.support,
-        growth=lambda p: modulus(p),
-    )
-    p = ChartPoint([0.9, -0.3])
-    a = beta_form(plain, TRIVIAL)(p)
-    bb = beta_form(hinted, TRIVIAL)(p)
-    assert (a - bb).max_abs() < 1e-10
+def test_eta_quadrature_that_cannot_converge_raises():
+    """On [0, 1000] order 256 cannot resolve eta; no unconverged iterate comes back."""
+    delta = delta_form(bott_morphism(), TRIVIAL, 1000.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        delta(ChartPoint([1.0, 0.5]))

@@ -241,6 +241,19 @@ def test_integrate_fiber_gaussian_vs_compact():
     assert abs(comp - want) < 1e-8
 
 
+def test_integrate_fiber_rejects_unusable_gaussian_order():
+    """At order 400 the rescaled Gauss-Hermite weights are 0 or inf: fail before any node."""
+    evaluated = []
+
+    def evaluate(p: ChartPoint) -> FormValue:
+        evaluated.append(p)
+        return FormValue(2, {(1, 2): 1.0})
+
+    with pytest.raises(ValueError, match="Gauss-Hermite order 400"):
+        integrate_fiber(FormField(2, evaluate), (1, 2), mode="gaussian", order=400)
+    assert not evaluated
+
+
 def test_integrate_fiber_keeps_base_part():
     """Fiberwise integration of a mixed form leaves a base form behind."""
 

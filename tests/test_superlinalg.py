@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from chernforms.exterior import FormValue
 from chernforms.superlinalg import (
     HermitianEndo,
     ParitySplit,

@@ -9,14 +9,12 @@ import numpy as np
 from chernforms.clifford_berezin import contraction, covariant_wedge
 from chernforms.exterior import (
     ChartPoint,
-    FormField,
     FormValue,
     differentiate_value,
-    exterior_derivative,
     wedge,
 )
 from chernforms.jets import jet_coordinates
-from chernforms.quillen import beta_form, ch_rel, chern_form, eta_form
+from chernforms.quillen import ch_rel
 from chernforms.relative import d_rel, integrate_compact
 from chernforms.scenarios import sphere_bundle, torus_bundle
 from chernforms.thom import (
