@@ -301,6 +301,8 @@ def smooth_cutoff(
     if not (0.0 <= r_inner < r_outer):
         raise ValueError("need 0 <= r_inner < r_outer")
     use = tuple(range(1, chart_dim + 1)) if dims is None else tuple(dims)
+    if any(not 1 <= i <= chart_dim for i in use):
+        raise ValueError(f"cutoff dims {use!r} are not all in 1..{chart_dim}")
 
     def evaluate(p: ChartPoint) -> FormValue:
         xs = jet_coordinates(p.coords, order=2)

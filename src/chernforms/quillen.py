@@ -16,11 +16,17 @@ chi Ch(A) + d chi ^ beta.
 Products of two morphisms combine through the graded tensor sum; the
 mismatch between beta of the product and the product of the relative
 cocycles is d of an explicit double transgression integral (b_forms).
+
+Every one of these forms (Ch, eta, beta, the finite transgression delta and
+the double integrals B1, B2) is read from one t-batched kernel,
+``_character_slots``: F(t) for a whole t-array, one graded exponential, one
+supertrace over the batch. A single-t form is a one-element batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -32,14 +38,14 @@ from .relative import RelativeCochain, SupportDescriptor, p_chi
 from .superlinalg import (
     ParitySplit,
     SuperMatrixForm,
-    _slots_to_coefficient,
     d_bracket,
     graded_exp,
     jet_slots,
     lincomb,
+    slots_form,
     smallest_eigenvalue,
     star_product,
-    supertrace,
+    supertrace_slots,
 )
 
 __all__ = [
@@ -135,27 +141,34 @@ class _CurvaturePieces:
         h = smallest_eigenvalue(self.v2.component(())[0])
         self.h = max(h, 0.0)
 
-    def at(self, t: float) -> SuperMatrixForm:
-        parts = [(-t * t, self.v2)]
-        if t != 0.0:
-            parts.append((t, self.x))
+    def curvature(self, ts: np.ndarray) -> SuperMatrixForm:
+        """F(t) for a t-array, stacked on a leading axis; X drops out when all t = 0."""
+        tt = ts[:, None, None, None]
+        parts = [(-(tt**2), self.v2)]
+        if ts.any():
+            parts.append((tt, self.x))
         if self.y is not None:
             parts.append((1.0, self.y))
-        if len(parts) == 1 and t == 0.0:
-            parts = [(0.0, self.v2)]
         return lincomb(parts)
 
-    def batch(self, ts: np.ndarray) -> SuperMatrixForm:
-        """F(t) for a whole t-array, stacked on a leading axis."""
-        mats = [self.v2, self.x] + ([self.y] if self.y is not None else [])
-        coeffs = [-(ts**2), ts] + ([np.ones_like(ts)] if self.y is not None else [])
-        split, m = self.v2.split, self.v2.chart_dim
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for c, mat in zip(coeffs, mats):
-            for i, arr in mat.components.items():
-                term = c[:, None, None, None] * arr[None, ...]
-                out[i] = out[i] + term if i in out else term
-        return SuperMatrixForm(split, m, out)
+
+def _character_slots(pieces: _CurvaturePieces, ts: np.ndarray, eta: bool = False) -> dict:
+    """Str e^{F(t)}, or eta(t) = -Str(i v e^{F(t)}), as arrays {index -> (T, slots)}."""
+    e = graded_exp(pieces.curvature(ts))
+    if not eta:
+        return supertrace_slots(e)
+    return {i: -c for i, c in supertrace_slots(star_product(1j * pieces.v, e)).items()}
+
+
+def _single_t_field(b, a, t: float, jet_order: int, eta: bool, name: str) -> FormField:
+    """Ch or eta at one t: row 0 of a one-element t-batch at each point."""
+
+    def evaluate(p: ChartPoint) -> FormValue:
+        pieces = _CurvaturePieces(b, a, p, jet_order)
+        rows = _character_slots(pieces, np.array([t], dtype=float), eta)
+        return slots_form({i: c[0] for i, c in rows.items()}, b.chart_dim)
+
+    return FormField(b.chart_dim, evaluate, name=name)
 
 
 def chern_form(
@@ -173,50 +186,19 @@ def chern_form(
 
         return FormField(m, evaluate_const, name="chern(t=0)")
 
-    def evaluate(p: ChartPoint) -> FormValue:
-        f = _CurvaturePieces(b, a, p, jet_order).at(t)
-        return supertrace(graded_exp(f))
-
-    return FormField(b.chart_dim, evaluate, name=f"chern(t={t})")
+    return _single_t_field(b, a, t, jet_order, False, f"chern(t={t})")
 
 
 def eta_form(
     b: MorphismBundle, a: SuperConnectionData, t: float, jet_order: int = 0
 ) -> FormField:
     """The transgression -Str(i v exp F), satisfying dCh/dt = -d eta."""
-
-    def evaluate(p: ChartPoint) -> FormValue:
-        pieces = _CurvaturePieces(b, a, p, jet_order)
-        e = graded_exp(pieces.at(t))
-        return supertrace(star_product(1j * pieces.v, e)) * (-1.0)
-
-    return FormField(b.chart_dim, evaluate, name=f"eta(t={t})")
-
-
-def _eta_batch(pieces: _CurvaturePieces, ts: np.ndarray) -> SuperMatrixForm:
-    """(i v) exp F(t) for an array of t values (leading batch axis)."""
-    e = graded_exp(pieces.batch(ts))
-    iv = SuperMatrixForm(
-        pieces.v.split,
-        pieces.v.chart_dim,
-        {i: (1j * c)[None, ...] for i, c in pieces.v.components.items()},
-    )
-    return star_product(iv, e)
-
-
-def _eta_values(pieces: _CurvaturePieces, ts: np.ndarray) -> dict:
-    """eta(t) coefficients as arrays {index -> (T, slots)}."""
-    prod = _eta_batch(pieces, ts)
-    g = pieces.v.split.grading().astype(complex)
-    out = {}
-    for i, c in prod.components.items():
-        out[i] = -np.einsum("tskk,k->ts", c, g)
-    return out
+    return _single_t_field(b, a, t, jet_order, True, f"eta(t={t})")
 
 
 def _quad_eta(pieces, t_lo: float, t_hi: float, order: int) -> dict:
     ts, ws = gauss_legendre(order, t_lo, t_hi)
-    vals = _eta_values(pieces, ts)
+    vals = _character_slots(pieces, ts, eta=True)
     return {i: np.tensordot(ws, arr, axes=(0, 0)) for i, arr in vals.items()}
 
 
@@ -240,12 +222,6 @@ def _integrate_eta(pieces, t_lo: float, t_hi: float) -> dict:
     )
 
 
-def _slots_form(arrs: dict, m: int) -> FormValue:
-    return FormValue(
-        m, {i: _slots_to_coefficient(a, m) for i, a in arrs.items()}, validate=False
-    )
-
-
 def beta_form(
     b: MorphismBundle,
     a: SuperConnectionData,
@@ -263,7 +239,7 @@ def beta_form(
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
         t_hi = tail_cutoff(pieces.h, t_lo)
-        return _slots_form(_integrate_eta(pieces, t_lo, t_hi), m)
+        return slots_form(_integrate_eta(pieces, t_lo, t_hi), m)
 
     return FormField(
         m,
@@ -284,7 +260,7 @@ def delta_form(
 
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
-        return _slots_form(_integrate_eta(pieces, 0.0, t_hi), m)
+        return slots_form(_integrate_eta(pieces, 0.0, t_hi), m)
 
     return FormField(m, evaluate, name="delta")
 
@@ -315,25 +291,17 @@ def ch_sup_rep(
 
 
 def _tensor_layout(s1: ParitySplit, s2: ParitySplit):
-    """Basis order of E1 (x) E2: even pairs first ((+,+), (-,-)), then odd."""
-    p1, m1 = s1.plus_dim, s1.minus_dim
-    p2, m2 = s2.plus_dim, s2.minus_dim
-    pairs = []
-    for i in range(p1):
-        for k in range(p2):
-            pairs.append((i, k))
-    for i in range(p1, p1 + m1):
-        for k in range(p2, p2 + m2):
-            pairs.append((i, k))
-    for i in range(p1, p1 + m1):
-        for k in range(p2):
-            pairs.append((i, k))
-    for i in range(p1):
-        for k in range(p2, p2 + m2):
-            pairs.append((i, k))
-    index = {pair: pos for pos, pair in enumerate(pairs)}
-    split = ParitySplit(p1 * p2 + m1 * m2, m1 * p2 + p1 * m2)
-    return pairs, index, split
+    """Basis order of E1 (x) E2: even pairs first ((+,+), (-,-)), then odd.
+
+    Returns the factor indices (first, second) of each basis vector as two
+    integer arrays, and the split of the product.
+    """
+    plus1, minus1 = range(s1.plus_dim), range(s1.plus_dim, s1.dim)
+    plus2, minus2 = range(s2.plus_dim), range(s2.plus_dim, s2.dim)
+    even = [*product(plus1, plus2), *product(minus1, minus2)]
+    odd = [*product(minus1, plus2), *product(plus1, minus2)]
+    first, second = np.array(even + odd).T
+    return first, second, ParitySplit(len(even), len(odd))
 
 
 def _embed_factor(
@@ -344,28 +312,14 @@ def _embed_factor(
     which = 1: M (x) Id, no signs. which = 2: Id (x) N, with the Koszul sign
     (-1)^{(par(k)+par(l)) par(j)} on the entry at ((j,k),(j,l)).
     """
-    pairs, index, split = _tensor_layout(s1, s2)
-    n = split.dim
-    out = np.zeros(arr.shape[:-2] + (n, n), dtype=complex)
-    g1 = s1.grading()
-    g2 = s2.grading()
-    if which == 1:
-        n1 = s1.dim
-        n2 = s2.dim
-        for i in range(n1):
-            for j in range(n1):
-                for k in range(n2):
-                    out[..., index[(i, k)], index[(j, k)]] += arr[..., i, j]
-    else:
-        n1 = s1.dim
-        n2 = s2.dim
-        for k in range(n2):
-            for l in range(n2):
-                sgn_kl = g2[k] * g2[l]
-                for j in range(n1):
-                    sign = 1.0 if (sgn_kl > 0 or g1[j] > 0) else -1.0
-                    out[..., index[(j, k)], index[(j, l)]] += sign * arr[..., k, l]
-    return out
+    first, second, _ = _tensor_layout(s1, s2)
+    own, other = (first, second) if which == 1 else (second, first)
+    block = arr[..., own[:, None], own[None, :]]
+    if which == 2:
+        g1, g2 = s1.grading(), s2.grading()
+        odd = (g2[own][:, None] * g2[own][None, :] < 0) & (g1[other][:, None] < 0)
+        block = np.where(odd, -1.0, 1.0) * block
+    return np.where(other[:, None] == other[None, :], block, 0.0)
 
 
 def tensor_morphism(b1: MorphismBundle, b2: MorphismBundle) -> MorphismBundle:
@@ -470,8 +424,8 @@ def b_forms(
         pc2 = _CurvaturePieces(b2, a2, p, jet_order)
         t_hi = tail_cutoff(min(pc1.h, pc2.h), 0.0)
         nodes = chebyshev_nodes(BFORM_CHEB_ORDER, 0.0, t_hi)
-        eta1_nodes = _eta_values(pc1, nodes)
-        eta2_nodes = _eta_values(pc2, nodes)
+        eta1_nodes = _character_slots(pc1, nodes, eta=True)
+        eta2_nodes = _character_slots(pc2, nodes, eta=True)
 
         s_nodes, s_w = gauss_legendre(BFORM_GL_ORDER, 0.0, t_hi)
         u_nodes, u_w = gauss_legendre(BFORM_GL_ORDER, 0.0, 1.0)
@@ -500,8 +454,8 @@ def b_forms(
 
         w1 = phi1(p).coefficient(())
         w2 = phi2(p).coefficient(())
-        fv1 = _slots_form(raw1, m) * w1
-        fv2 = _slots_form(raw2, m) * w2
+        fv1 = slots_form(raw1, m) * w1
+        fv2 = slots_form(raw2, m) * w2
         cache.clear()
         cache[key] = (fv1, fv2)
         return cache[key]

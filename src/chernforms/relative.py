@@ -15,6 +15,7 @@ iota(omega) = sum (-1)^k omega^{(k)}, which reduces to the usual
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .exterior import (
     as_point,
     degree_involution,
     differentiate_value,
+    epsilon_sign,
     exterior_derivative,
     wedge,
 )
@@ -177,6 +179,19 @@ def p_chi(c: RelativeCochain, chi: FormField) -> FormField:
     return FormField(m, evaluate, name="p_chi")
 
 
+def _tensor_grid(axes):
+    """Walk a tensor-product rule in lexicographic order, last axis fastest.
+
+    ``axes`` lists (nodes, weights) per axis. Yields each node tuple with its
+    weight, multiplied axis by axis in axis order.
+    """
+    for picks in product(*(zip(nodes, weights) for nodes, weights in axes)):
+        w = 1.0
+        for _, wk in picks:
+            w *= wk
+        yield tuple(x for x, _ in picks), w
+
+
 def integrate_compact(
     field: FormField, box: list[tuple[float, float]], order: int = 64
 ) -> complex:
@@ -189,28 +204,11 @@ def integrate_compact(
     m = field.chart_dim
     if len(box) != m:
         raise ValueError("box does not match the chart dimension")
-    axes = [gauss_legendre(order, a, b) for a, b in box]
     top = tuple(range(1, m + 1))
     total = 0.0 + 0.0j
-    idx = [0] * m
-    nodes = [ax[0] for ax in axes]
-    weights = [ax[1] for ax in axes]
-    point = np.empty(m)
-    while True:
-        w = 1.0
-        for k in range(m):
-            point[k] = nodes[k][idx[k]]
-            w *= weights[k][idx[k]]
-        total += w * field(ChartPoint(point)).value(top)
-        k = m - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < order:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return total
+    for nodes, w in _tensor_grid([gauss_legendre(order, a, b) for a, b in box]):
+        total += w * field(ChartPoint(nodes)).value(top)
+    return total
 
 
 def integrate_fiber(
@@ -240,6 +238,8 @@ def integrate_fiber(
     fiber = tuple(fiber_dims)
     if sorted(set(fiber)) != sorted(fiber):
         raise ValueError("fiber dims must be distinct")
+    if any(not 1 <= i <= m for i in fiber):
+        raise ValueError(f"fiber dims {fiber!r} are not all in 1..{m}")
     d = len(fiber)
     base_dims = [i for i in range(1, m + 1) if i not in set(fiber)]
     relabel = {dim: k + 1 for k, dim in enumerate(base_dims)}
@@ -266,51 +266,26 @@ def integrate_fiber(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # Sign from permuting dx_fiber to the right within each sorted index,
-    # composed with the orientation of the listed fiber order.
-    sort_perm = sorted(range(d), key=lambda k: fiber[k])
-    orient = 1
-    seen = []
-    for k in sort_perm:
-        orient *= (-1) ** sum(1 for s in seen if s > k)
-        seen.append(k)
+    # Orientation of the listed fiber order against the sorted one.
+    orient = (-1) ** sum(a > b for a, b in combinations(fiber, 2))
     fiber_sorted = tuple(sorted(fiber))
     fiber_set = set(fiber)
 
     coords = np.empty(m)
-    for k, dim in enumerate(base_dims):
-        coords[dim - 1] = base.coords[k]
+    coords[[dim - 1 for dim in base_dims]] = base.coords
+    fiber_at = [dim - 1 for dim in fiber]
 
     out: dict[tuple[int, ...], complex] = {}
-    idx = [0] * d
-    while True:
-        w = 1.0
-        for k in range(d):
-            coords[fiber[k] - 1] = axes[k][0][idx[k]]
-            w *= axes[k][1][idx[k]]
+    for nodes, w in _tensor_grid(axes):
+        coords[fiber_at] = nodes
         fv = field(ChartPoint(coords))
         for index, coeff in fv.terms.items():
-            fpart = tuple(i for i in index if i in fiber_set)
-            if fpart != fiber_sorted:
+            if tuple(i for i in index if i in fiber_set) != fiber_sorted:
                 continue
-            sign = orient
-            trailing_base = 0
-            for i in reversed(index):
-                if i in fiber_set:
-                    if trailing_base % 2 == 1:
-                        sign = -sign
-                else:
-                    trailing_base += 1
-            new_index = tuple(relabel[i] for i in index if i not in fiber_set)
+            base_part = tuple(i for i in index if i not in fiber_set)
+            # Sign of moving dx_fiber to the right of the base differentials.
+            sign = orient * epsilon_sign(base_part, fiber_sorted)
             val = sign * w * jet_value(coeff)
+            new_index = tuple(relabel[i] for i in base_part)
             out[new_index] = out.get(new_index, 0.0) + val
-        k = d - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(axes[k][0]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
     return FormValue(len(base_dims), out, validate=False)

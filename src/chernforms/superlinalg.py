@@ -11,7 +11,10 @@ Component calculus ("forms first" ordering):
 * product:    (M * N)[K] = sum_{I disjoint J, I u J = K}
               sign(I,J) * M[I] @ (g^{|I|} N[J] g^{|I|}),
               where g = diag(+1 on the even block, -1 on the odd block);
-* supertrace: Str(M)[I] = sum_i g_ii M[I]_ii;
+* supertrace: Str(M)[I] = sum_i g_ii M[I]_ii, computed by
+              ``supertrace_slots`` on slot arrays that may carry batch axes
+              (quillen traces whole t-batches with it); ``supertrace``
+              reads one unbatched matrix into a FormValue;
 * d-bracket:  [d, M][{k} merge I] += sign * (g @ d_k M[I] @ g).
 
 ``graded_exp`` embeds M into End(Lambda(C^m) (x) E) by the left regular
@@ -39,6 +42,8 @@ __all__ = [
     "HermitianEndo",
     "star_product",
     "supertrace",
+    "supertrace_slots",
+    "slots_form",
     "d_bracket",
     "graded_exp",
     "volterra_exp",
@@ -259,17 +264,25 @@ def star_product(a: SuperMatrixForm, b: SuperMatrixForm) -> SuperMatrixForm:
     return SuperMatrixForm(a.split, m, out)
 
 
+def supertrace_slots(mat: SuperMatrixForm) -> dict[tuple[int, ...], np.ndarray]:
+    """Graded trace as slot arrays {I: (..., S)}, keeping any batch axes."""
+    g = mat.split.grading().astype(complex)
+    return {i: np.einsum("...skk,k->...s", c, g) for i, c in mat.components.items()}
+
+
+def slots_form(arrs: dict[tuple[int, ...], np.ndarray], m: int) -> FormValue:
+    """The form whose dx_I coefficient is the slot vector arrs[I] of shape (S,)."""
+    return FormValue(
+        m, {i: _slots_to_coefficient(a, m) for i, a in arrs.items()}, validate=False
+    )
+
+
 def supertrace(mat: SuperMatrixForm) -> FormValue:
     """Graded trace, one form coefficient per stored component."""
-    g = mat.split.grading()
-    m = mat.chart_dim
-    out = {}
-    for i, c in mat.components.items():
-        tr = np.einsum("...skk,k->...s", c, g.astype(complex))
-        if tr.ndim != 1:
-            raise ValueError("supertrace of a batched matrix; select a batch first")
-        out[i] = _slots_to_coefficient(tr, m)
-    return FormValue(m, out, validate=False)
+    arrs = supertrace_slots(mat)
+    if any(tr.ndim != 1 for tr in arrs.values()):
+        raise ValueError("supertrace of a batched matrix; select a batch first")
+    return slots_form(arrs, mat.chart_dim)
 
 
 def d_bracket(mat: SuperMatrixForm) -> SuperMatrixForm:
@@ -470,16 +483,6 @@ def volterra_exp(h, r: SuperMatrixForm, quad_order: int = 12) -> SuperMatrixForm
     if hmat.shape[0] != n:
         raise ValueError("Hermitian part size does not match the graded space")
     r = r.truncate_order(0)
-
-    mean = np.trace(hmat) / n
-    if np.abs(hmat - mean * np.eye(n)).max() <= 1e-13 * (1.0 + np.abs(hmat).max()):
-        # Central H: e^{H+R} = e^{mean} * sum_k R^k / k!, exactly.
-        acc = identity_form(split, m)
-        term = identity_form(split, m)
-        for k in range(1, m + 1):
-            term = star_product(term, r) * (1.0 / k)
-            acc = acc + term
-        return acc * np.exp(mean)
 
     w, u = np.linalg.eigh(hmat)
 

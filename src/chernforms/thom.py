@@ -37,6 +37,7 @@ from .clifford_berezin import (
     algebra_mul,
     berezin_T,
     default_spinor_rep,
+    pfaffian,
     spinor_rep,
     wedge_exp,
 )
@@ -110,11 +111,7 @@ class EuclideanBundle:
 
     @staticmethod
     def flat(rank: int, base_dim: int) -> "EuclideanBundle":
-        def conn(p):
-            zero = FormValue.zero(base_dim)
-            return [[zero for _ in range(rank)] for _ in range(rank)]
-
-        return EuclideanBundle(rank, base_dim, conn)
+        return EuclideanBundle.from_lower_entries(rank, base_dim, lambda p: {})
 
     @staticmethod
     def from_lower_entries(rank, base_dim, entries) -> "EuclideanBundle":
@@ -170,10 +167,18 @@ def lift_to_total(fv: FormValue, base_dim: int, rank: int) -> FormValue:
     return FormValue(m, out, validate=False)
 
 
+def _half_curvature(w, d: int, m: int) -> GradedElement:
+    """(1/2) sum_{i<j} F[j,i] e_i e_j for a d x d connection matrix w on an m-chart."""
+    terms = {
+        (i + 1, j + 1): curvature_entry(w, j, i) for i in range(d) for j in range(i + 1, d)
+    }
+    return GradedElement(WEDGE, d, m, terms) * 0.5
+
+
 class _FrameData:
     """Per-point frame quantities on the total chart."""
 
-    __slots__ = ("bundle", "m", "d", "w", "eta", "ef", "xs", "r2", "h")
+    __slots__ = ("bundle", "m", "d", "w", "eta", "half_f", "xs", "r2", "h")
 
     def __init__(self, bundle: EuclideanBundle, point, jet_order: int):
         if jet_order not in (0, 1):
@@ -207,26 +212,21 @@ class _FrameData:
             for k in range(d):
                 e = e + self.w[i][k] * fiber[k]
             self.eta.append(e)
-        self.ef = GradedElement(
-            WEDGE,
-            d,
-            m,
-            {
-                (i + 1, j + 1): curvature_entry(self.w, j, i)
-                for i in range(d)
-                for j in range(i + 1, d)
-            },
-        )
+        self.half_f = _half_curvature(self.w, d, m)
         r2v = self.r2.value if isinstance(self.r2, Jet) else self.r2
         self.h = float(np.real(r2v))
 
-    def f_exp(self, t: float) -> GradedElement:
-        elem = self.ef * 0.5
+    def generator(self, t: float) -> GradedElement:
+        """t sum_i eta_i e_i + (1/2) F: f_t without its scalar part -t^2 |x|^2."""
+        elem = self.half_f
         for i in range(self.d):
             elem = elem + GradedElement(
                 WEDGE, self.d, self.m, {(i + 1,): self.eta[i] * t}
             )
-        return wedge_exp(elem, scalar_part=-(t * t) * self.r2)
+        return elem
+
+    def f_exp(self, t: float) -> GradedElement:
+        return wedge_exp(self.generator(t), scalar_part=-(t * t) * self.r2)
 
     def x_element(self) -> GradedElement:
         return GradedElement(
@@ -263,13 +263,8 @@ def f_t_element(
     (covariant_wedge - 2t contraction(x)) annihilates it.
     """
     frame = _FrameData(bundle, point, jet_order)
-    elem = frame.ef * 0.5
-    for i in range(frame.d):
-        elem = elem + GradedElement(
-            WEDGE, frame.d, frame.m, {(i + 1,): frame.eta[i] * t}
-        )
     scalar = FormValue(frame.m, {(): -(t * t) * frame.r2}, validate=False)
-    return elem + GradedElement(WEDGE, frame.d, frame.m, {(): scalar})
+    return frame.generator(t) + GradedElement(WEDGE, frame.d, frame.m, {(): scalar})
 
 
 def c_wedge(bundle: EuclideanBundle, t: float, jet_order: int = 0) -> FormField:
@@ -323,7 +318,7 @@ def gamma_coefficient(k: int, index_i: tuple[int, ...], index_j: tuple[int, ...]
 
 def _beta_closed(frame: _FrameData) -> FormValue:
     d, m = frame.d, frame.m
-    pexp = wedge_exp(frame.ef * 0.5)
+    pexp = wedge_exp(frame.half_f)
     if isinstance(frame.r2, Jet):
         rinv = 1.0 / frame.r2.sqrt()
     else:
@@ -393,8 +388,7 @@ def thom_rel(bundle: EuclideanBundle, jet_order: int = 0) -> RelativeCochain:
     scale = 1.0 / epsilon_d(bundle.rank)
 
     def alpha_eval(p: ChartPoint) -> FormValue:
-        frame = _FrameData(bundle, p, jet_order)
-        return berezin_T(wedge_exp(frame.ef * 0.5)) * scale
+        return pfaffian(_FrameData(bundle, p, jet_order).half_f) * scale
 
     alpha = FormField(bundle.total_dim, alpha_eval, name="thom_alpha")
     raw = beta_wedge(bundle, method="closed", jet_order=jet_order)
@@ -433,14 +427,7 @@ def euler_form(bundle: EuclideanBundle) -> FormField:
     scale = 1.0 / epsilon_d(d)
 
     def evaluate(p: ChartPoint) -> FormValue:
-        w = bundle.connection(p)
-        terms = {
-            (i + 1, j + 1): curvature_entry(w, j, i)
-            for i in range(d)
-            for j in range(i + 1, d)
-        }
-        ef = GradedElement(WEDGE, d, mb, terms)
-        return berezin_T(wedge_exp(ef * 0.5)) * scale
+        return pfaffian(_half_curvature(bundle.connection(p), d, mb)) * scale
 
     return FormField(mb, evaluate, name="euler")
 

@@ -143,6 +143,12 @@ def test_cutoff_restricted_dims():
     assert v == 0.0
 
 
+@pytest.mark.parametrize("dims", [(0,), (3,), (-1,), (1, 0)])
+def test_cutoff_rejects_dims_outside_the_chart(dims):
+    with pytest.raises(ValueError, match="not all in 1..2"):
+        smooth_cutoff(2, 0.1, 1.0, dims=dims)
+
+
 def test_partition_pair_sums_to_one_and_saturates():
     def selector(p: ChartPoint) -> FormValue:
         jets = jet_coordinates(p.coords, order=2)

@@ -16,6 +16,8 @@ from chernforms.exterior import (
 )
 from chernforms.quillen import (
     SuperConnectionData,
+    _embed_factor,
+    _tensor_layout,
     b_forms,
     beta_form,
     ch_rel,
@@ -211,6 +213,26 @@ def test_tensor_morphism_layout():
     assert stack.shape[1:] == (2, 2)
     want = np.array([[z1, -np.conj(z2)], [z2, np.conj(z1)]])
     assert np.allclose(stack[0], want, atol=1e-14)
+
+
+def test_embed_factor_matches_entrywise_reference():
+    """The index-array embedding equals the entry-by-entry Koszul rule."""
+    rng = np.random.default_rng(5)
+    for s1, s2 in ((ParitySplit(1, 1), ParitySplit(1, 1)), (ParitySplit(2, 1), ParitySplit(1, 2))):
+        first, second, split = _tensor_layout(s1, s2)
+        g1, g2 = s1.grading(), s2.grading()
+        n = split.dim
+        for which, size in ((1, s1.dim), (2, s2.dim)):
+            arr = rng.normal(size=(3, size, size)) + 1j * rng.normal(size=(3, size, size))
+            want = np.zeros((3, n, n), dtype=complex)
+            for r in range(n):
+                for c in range(n):
+                    if which == 1 and second[r] == second[c]:
+                        want[:, r, c] = arr[:, first[r], first[c]]
+                    elif which == 2 and first[r] == first[c]:
+                        odd = g2[second[r]] * g2[second[c]] < 0 and g1[first[r]] < 0
+                        want[:, r, c] = (-1.0 if odd else 1.0) * arr[:, second[r], second[c]]
+            assert np.array_equal(_embed_factor(arr, s1, s2, which), want)
 
 
 def test_character_is_multiplicative():

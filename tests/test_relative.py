@@ -254,6 +254,22 @@ def test_integrate_fiber_rejects_unusable_gaussian_order():
     assert not evaluated
 
 
+@pytest.mark.parametrize(
+    "fiber, base", [((0, 2), [0.5]), ((1, 3), [0.5]), ((-1,), [0.5, 0.5])]
+)
+def test_integrate_fiber_rejects_dims_outside_the_chart(fiber, base):
+    """Dim 0 used to write the fiber node into the last coordinate."""
+    evaluated = []
+
+    def evaluate(p: ChartPoint) -> FormValue:
+        evaluated.append(p)
+        return FormValue(2, {(1, 2): 1.0})
+
+    with pytest.raises(ValueError, match="not all in 1..2"):
+        integrate_fiber(FormField(2, evaluate), fiber, base_point=base, half_width=1.0)
+    assert not evaluated
+
+
 def test_integrate_fiber_keeps_base_part():
     """Fiberwise integration of a mixed form leaves a base form behind."""
 

@@ -227,3 +227,15 @@ def test_supertrace_of_identity_counts_signature():
     split = ParitySplit(3, 1)
     tr = supertrace(identity_form(split, 2))
     assert tr.value(()) == 2.0
+
+
+def test_volterra_exp_with_central_hermitian_part():
+    """H = c I has one repeated eigenvalue; the simplex series still matches."""
+    split = ParitySplit(2, 1)
+    for c in (-1.3, 0.0, 0.7):
+        for m in (1, 2, 3):
+            h = c * np.eye(split.dim, dtype=complex)
+            r = SuperMatrixForm(split, m, _rand_components(split, m, range(1, m + 1)))
+            full = SuperMatrixForm(split, m, {(): h[None], **r.components})
+            diff = graded_norm(volterra_exp(HermitianEndo(h), r) - graded_exp(full))
+            assert diff < 1e-8
