@@ -18,10 +18,13 @@ Component calculus ("forms first" ordering):
 * d-bracket:  [d, M][{k} merge I] += sign * (g @ d_k M[I] @ g).
 
 ``graded_exp`` embeds M into End(Lambda(C^m) (x) E) by the left regular
-representation of the form factor (an algebra isomorphism onto its image)
-and runs Taylor scaling-and-squaring there; ``volterra_exp`` is the
-independent route that expands e^{H+R} around a form-degree-0 Hermitian part
-by iterated simplex integrals.
+representation of the form factor (an algebra isomorphism onto its image).
+A left-multiplication matrix is fixed by its first block column, so only
+that column of e^M is computed: Taylor scaling-and-squaring with thin
+(N x N) @ (N x n) products, N = n * 2^m, where each N x N factor is gathered
+from a column by ``_left_mult``. ``volterra_exp`` is the independent route
+that expands e^{H+R} around a form-degree-0 Hermitian part by iterated
+simplex integrals.
 """
 
 from __future__ import annotations
@@ -101,31 +104,28 @@ def order_of_slots(slots: int, chart_dim: int) -> int:
 def jet_matmul(a: np.ndarray, b: np.ndarray, chart_dim: int) -> np.ndarray:
     """Matrix product over the jet ring.
 
-    ``a`` and ``b`` have shape (..., S, n, n); the slot axis holds value,
-    then gradients, then (optionally) the row-major Hessian. Mixed orders
-    are truncated to the smaller one.
+    ``a`` has shape (..., S, r, k) and ``b`` (..., S, k, c); the result is
+    (..., S, r, c). The slot axis holds value, then gradients, then
+    (optionally) the row-major Hessian. Mixed orders are truncated to the
+    smaller one.
     """
     m = chart_dim
     slots = min(a.shape[-3], b.shape[-3])
     a = a[..., :slots, :, :]
     b = b[..., :slots, :, :]
     order = order_of_slots(slots, m)
-    a0 = a[..., 0:1, :, :]
-    b0 = b[..., 0:1, :, :]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    np.matmul(a0, b0, out=out[..., 0:1, :, :])
-    if order >= 1:
+    out = np.matmul(a[..., 0:1, :, :], b)
+    if order == 0:
+        return out
+    out[..., 1:, :, :] += np.matmul(a[..., 1:, :, :], b[..., 0:1, :, :])
+    if order == 2:
         ga = a[..., 1 : 1 + m, :, :]
         gb = b[..., 1 : 1 + m, :, :]
-        out[..., 1 : 1 + m, :, :] = np.matmul(a0, gb) + np.matmul(ga, b0)
-    if order == 2:
-        ha = a[..., 1 + m :, :, :]
-        hb = b[..., 1 + m :, :, :]
         cross = np.einsum("...aij,...bjk->...abik", ga, gb)
         cross = cross + np.swapaxes(cross, -4, -3)
-        hess = np.matmul(a0, hb) + np.matmul(ha, b0)
-        hess += cross.reshape(cross.shape[:-4] + (m * m,) + cross.shape[-2:])
-        out[..., 1 + m :, :, :] = hess
+        out[..., 1 + m :, :, :] += cross.reshape(
+            cross.shape[:-4] + (m * m,) + cross.shape[-2:]
+        )
     return out
 
 
@@ -146,9 +146,15 @@ class SuperMatrixForm:
         self.components = {
             tuple(i): np.asarray(c, dtype=complex) for i, c in self.components.items()
         }
+        slots = set()
         for i, c in self.components.items():
-            if c.shape[-1] != n or c.shape[-2] != n:
-                raise ValueError(f"component {i} is not {n}x{n}")
+            if c.ndim < 3 or c.shape[-1] != n or c.shape[-2] != n:
+                raise ValueError(f"component {i} is not a slot stack of {n}x{n} matrices")
+            slots.add(c.shape[-3])
+        if len(slots) > 1:
+            raise ValueError(f"components carry different jet slot counts {sorted(slots)}")
+        for s in slots:
+            order_of_slots(s, self.chart_dim)
 
     @property
     def slots(self) -> int:
@@ -233,6 +239,9 @@ def lincomb(pairs) -> SuperMatrixForm:
         raise ValueError("empty linear combination")
     split = pairs[0][1].split
     m = pairs[0][1].chart_dim
+    slots = {arr.shape[-3] for _, mat in pairs for arr in mat.components.values()}
+    if len(slots) > 1:
+        raise ValueError(f"linear combination of different jet slot counts {sorted(slots)}")
     out: dict[tuple[int, ...], np.ndarray] = {}
     for c, mat in pairs:
         if mat.split != split or mat.chart_dim != m:
@@ -337,6 +346,39 @@ def _left_mult_blocks(m: int):
     return table
 
 
+@lru_cache(maxsize=8)
+def _left_mult_table(m: int) -> np.ndarray:
+    """Where each block of a left-multiplication matrix comes from.
+
+    Block (K, J) is sign(I, J) * (block I of the first block column), with
+    I = K minus J, and 0 unless J is a subset of K. Entry (K, J) of the
+    (2^m, 2^m) table is 1 + I for sign +1, 1 + 2^m + I for sign -1 and 0 for
+    a zero block: an index into the blocks [0, column, -column].
+    """
+    subs, index = _subset_index(m)
+    table = np.zeros((len(subs), len(subs)), dtype=np.intp)
+    for left, acts in _left_mult_blocks(m).items():
+        for row, col, sign in acts:
+            table[row, col] = 1 + index[left] + (len(subs) if sign < 0 else 0)
+    return table
+
+
+def _left_mult_gather(m: int, n: int) -> np.ndarray:
+    """Flat indices into [0, column, -column] of each entry of the N x N matrix."""
+    table = _left_mult_table(m)
+    k = np.arange(n)
+    flat = table[:, None, :, None] * (n * n) + k[None, :, None, None] * n + k
+    return flat.reshape(-1)
+
+
+def _left_mult(col: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The left-multiplication matrix (..., N, N) whose first block column is ``col``."""
+    lead, (rows, n) = col.shape[:-2], col.shape[-2:]
+    flat = col.reshape(lead + (rows * n,))
+    signed = np.concatenate([np.zeros(lead + (n * n,), col.dtype), flat, -flat], axis=-1)
+    return signed.take(gather, axis=-1).reshape(lead + (rows, rows))
+
+
 def _ring_norm(components: dict, m: int) -> float:
     """A submultiplicative bound used only to pick the scaling exponent."""
     total = 0.0
@@ -355,9 +397,12 @@ def _ring_norm(components: dict, m: int) -> float:
 def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
     """Exponential of a graded form-valued matrix.
 
-    Embeds into End(Lambda(C^m) (x) E) via left multiplication on the form
-    factor, then runs Taylor scaling-and-squaring in the jet ring. Works for
-    any batch shape; the representation size n * 2^m is capped.
+    Left multiplication on the form factor embeds M into
+    End(Lambda(C^m) (x) E), and a left-multiplication matrix is fixed by its
+    first block column, which holds the components of M. So only that column
+    of the exponential is computed: Taylor scaling-and-squaring in the jet
+    ring, with every product a thin (N x N) @ (N x n) one, N = n * 2^m. Works
+    for any batch shape; N is capped.
     """
     m = mat.chart_dim
     n = mat.split.dim
@@ -367,40 +412,38 @@ def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
             f"regular representation dimension {n * two_m} exceeds {MAX_EXP_DIM}"
         )
     subs, index = _subset_index(m)
-    blocks = _left_mult_blocks(m)
     g = mat.split.grading()
     slots = mat.slots
     batch = ()
     for c in mat.components.values():
         batch = np.broadcast_shapes(batch, c.shape[:-3])
 
-    big = np.zeros(batch + (slots, two_m * n, two_m * n), dtype=complex)
-    view = big.reshape(batch + (slots, two_m, n, two_m, n))
+    col = np.zeros(batch + (slots, two_m, n, n), dtype=complex)
     for i, c in mat.components.items():
-        twisted = c * g[None, :] if len(i) % 2 == 1 else c
-        for row, col, sign in blocks[i]:
-            view[..., row, :, col, :] += sign * twisted
+        col[..., index[i], :, :] = c * g[None, :] if len(i) % 2 == 1 else c
+    col = col.reshape(batch + (slots, two_m * n, n))
 
     nrm = _ring_norm(mat.components, m)
     squarings = 0
     if nrm > TAYLOR_RADIUS:
         squarings = int(np.ceil(np.log2(nrm / TAYLOR_RADIUS)))
-        big = big / (2.0**squarings)
+        col = col / (2.0**squarings)
 
-    eye = np.zeros_like(big)
-    eye[..., 0, :, :] = np.eye(two_m * n)
-    acc = eye.copy()
-    term = eye.copy()
+    gather = _left_mult_gather(m, n)
+    left = _left_mult(col, gather)
+    acc = np.zeros_like(col)
+    acc[..., 0, :n, :] = np.eye(n)
+    term = acc.copy()
     for j in range(1, TAYLOR_TERMS + 1):
-        term = jet_matmul(term, big, m) / j
+        term = jet_matmul(left, term, m) / j
         acc = acc + term
     for _ in range(squarings):
-        acc = jet_matmul(acc, acc, m)
+        acc = jet_matmul(_left_mult(acc, gather), acc, m)
 
-    res = acc.reshape(batch + (slots, two_m, n, two_m, n))
+    res = acc.reshape(batch + (slots, two_m, n, n))
     out: dict[tuple[int, ...], np.ndarray] = {}
     for i in subs:
-        block = res[..., index[i], :, 0, :]
+        block = res[..., index[i], :, :]
         if len(i) % 2 == 1:
             block = block * g[None, :]
         out[i] = block

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from chernforms.superlinalg import (
     HermitianEndo,
     ParitySplit,
     SuperMatrixForm,
+    _left_mult,
+    _left_mult_blocks,
+    _left_mult_gather,
+    _subset_index,
     d_bracket,
     graded_exp,
     graded_norm,
     identity_form,
     jet_matmul,
     jet_slots,
+    lincomb,
     smallest_eigenvalue,
     star_product,
     supertrace,
@@ -27,28 +33,35 @@ ASSOC_TOL = 1e-11
 RNG = np.random.default_rng(7)
 
 
-def _rand_components(split, m, degrees, order=0, scale=0.7):
+def _rand_components(split, m, degrees, order=0, scale=0.7, batch=(), rng=RNG):
     n = split.dim
-    slots = jet_slots(order, m)
+    shape = batch + (jet_slots(order, m), n, n)
     from itertools import combinations
 
     comps = {}
     for k in degrees:
         for index in combinations(range(1, m + 1), k):
-            if RNG.random() < 0.4:
+            if rng.random() < 0.4:
                 continue
-            comps[index] = scale * (
-                RNG.normal(0, 1, (slots, n, n)) + 1j * RNG.normal(0, 1, (slots, n, n))
-            )
+            comps[index] = scale * (rng.normal(0, 1, shape) + 1j * rng.normal(0, 1, shape))
     return comps
 
 
-def _rand_matrix_form(split, m, order=0, with_scalar=True):
+def _rand_matrix_form(split, m, order=0, with_scalar=True, batch=(), rng=RNG):
     degrees = range(0 if with_scalar else 1, m + 1)
-    comps = _rand_components(split, m, degrees, order=order)
+    comps = _rand_components(split, m, degrees, order=order, batch=batch, rng=rng)
     if not comps:
-        comps = {(1,): 0.5 * RNG.normal(0, 1, (jet_slots(order, m), split.dim, split.dim)).astype(complex)}
+        shape = batch + (jet_slots(order, m), split.dim, split.dim)
+        comps = {(1,): 0.5 * rng.normal(0, 1, shape).astype(complex)}
     return SuperMatrixForm(split, m, comps)
+
+
+def _slot_norm(mat):
+    """Sum over components of the largest operator norm over batch and jet slots."""
+    return sum(
+        float(np.linalg.norm(c, ord=2, axis=(-2, -1)).max())
+        for c in mat.components.values()
+    )
 
 
 def _homogeneous(split, m, index, block):
@@ -109,17 +122,24 @@ def test_graded_exp_inverse():
         assert graded_norm(prod - ident) < EXP_INV_TOL
 
 
-def test_graded_exp_series_oracle():
-    """exp by star-product power series, on a nilpotent-heavy instance."""
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["nobatch", "batch3"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_graded_exp_series_oracle(m, order, batch):
+    """exp by star-product power series, on a nilpotent-heavy instance.
+
+    Every jet slot and batch element is compared, at the chart dimensions,
+    jet orders and t-batches that the character forms use.
+    """
     split = ParitySplit(2, 1)
-    m = 2
-    a = _rand_matrix_form(split, m, with_scalar=True)
-    series = identity_form(split, m)
-    term = identity_form(split, m)
+    rng = np.random.default_rng([m, order, len(batch)])
+    a = _rand_matrix_form(split, m, order=order, batch=batch, rng=rng)
+    series = identity_form(split, m, order)
+    term = identity_form(split, m, order)
     for k in range(1, 24):
         term = star_product(term, a) * (1.0 / k)
         series = series + term
-    assert graded_norm(graded_exp(a) - series) < 1e-9
+    assert _slot_norm(graded_exp(a) - series) < 1e-9
 
 
 def test_d_bracket_squares_to_zero_and_commutes_with_str():
@@ -157,14 +177,79 @@ def test_d_bracket_squares_to_zero_and_commutes_with_str():
     assert (str_d - d_str).max_abs() < 1e-10
 
 
-def test_jet_matmul_product_rule():
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_jet_matmul_product_rule(order):
+    """Value, gradient and Hessian slots of a batched (N x N) @ (N x n) product."""
     m = 2
-    slots = jet_slots(1, m)
-    a = RNG.normal(0, 1, (slots, 2, 2)).astype(complex)
-    b = RNG.normal(0, 1, (slots, 2, 2)).astype(complex)
+    slots = jet_slots(order, m)
+    a = RNG.normal(0, 1, (3, slots, 4, 4)) + 1j * RNG.normal(0, 1, (3, slots, 4, 4))
+    b = RNG.normal(0, 1, (3, slots, 4, 2)) + 1j * RNG.normal(0, 1, (3, slots, 4, 2))
     c = jet_matmul(a, b, m)
-    assert np.allclose(c[0], a[0] @ b[0])
-    assert np.allclose(c[1], a[1] @ b[0] + a[0] @ b[1])
+    assert c.shape == (3, slots, 4, 2)
+    assert np.allclose(c[:, 0], a[:, 0] @ b[:, 0])
+    if order == 0:
+        return
+    for k in range(1, m + 1):
+        assert np.allclose(c[:, k], a[:, k] @ b[:, 0] + a[:, 0] @ b[:, k])
+    if order == 1:
+        return
+    for k in range(m):
+        for l in range(m):
+            s = 1 + m + k * m + l
+            want = a[:, 0] @ b[:, s] + a[:, s] @ b[:, 0]
+            want = want + a[:, 1 + k] @ b[:, 1 + l] + a[:, 1 + l] @ b[:, 1 + k]
+            assert np.allclose(c[:, s], want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_left_mult_gather_matches_blockwise_embedding(m, n):
+    """The gathered left-multiplication matrix, against block-by-block placement."""
+    two_m = 1 << m
+    rng = np.random.default_rng([m, n])
+    shape = (2, 3, two_m * n, n)
+    col = rng.normal(0, 1, shape) + 1j * rng.normal(0, 1, shape)
+    blocks = col.reshape(2, 3, two_m, n, n)
+    subs, index = _subset_index(m)
+    want = np.zeros((2, 3, two_m, n, two_m, n), dtype=complex)
+    for i in subs:
+        for row, column, sign in _left_mult_blocks(m)[i]:
+            want[..., row, :, column, :] += sign * blocks[..., index[i], :, :]
+    got = _left_mult(col, _left_mult_gather(m, n))
+    assert np.array_equal(got, want.reshape(2, 3, two_m * n, two_m * n))
+
+
+def _order_one_and_value_only():
+    split = ParitySplit(1, 1)
+    value = np.ones((1, 2, 2), dtype=complex)
+    with_grad = np.ones((jet_slots(1, 2), 2, 2), dtype=complex)
+    return split, value, with_grad
+
+
+def _mixed_components():
+    split, value, with_grad = _order_one_and_value_only()
+    return SuperMatrixForm(split, 2, {(): with_grad, (1,): value})
+
+
+def _slots_not_a_jet_layout():
+    split, value, _ = _order_one_and_value_only()
+    return SuperMatrixForm(split, 2, {(): np.concatenate([value, value])})
+
+
+def _lincomb_of_mixed_orders():
+    split, value, with_grad = _order_one_and_value_only()
+    a = SuperMatrixForm(split, 2, {(): with_grad})
+    b = SuperMatrixForm(split, 2, {(): value})
+    return lincomb([(1.0, a), (1.0, b)])
+
+
+@pytest.mark.parametrize(
+    "build", [_mixed_components, _slots_not_a_jet_layout, _lincomb_of_mixed_orders]
+)
+def test_mixed_jet_orders_are_rejected(build):
+    """A value-only slot stack next to jets used to broadcast into the gradients."""
+    with pytest.raises(ValueError, match="slot"):
+        build()
 
 
 def test_smallest_eigenvalue_matches_eigvalsh():
@@ -198,7 +283,6 @@ def test_volterra_exp_rejects_scalar_remainder():
     split = ParitySplit(1, 1)
     h = np.eye(2, dtype=complex)
     r = SuperMatrixForm(split, 2, {(): np.eye(2, dtype=complex)[None]})
-    import pytest
 
     with pytest.raises(ValueError):
         volterra_exp(HermitianEndo(h), r)
