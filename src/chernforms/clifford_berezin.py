@@ -1,31 +1,36 @@
-"""Exterior and Clifford algebras of a Euclidean fiber, with form coefficients.
+"""Berezin integral, Clifford product and spinors on Lambda(V)-valued forms.
 
-A ``GradedElement`` is a sum ``sum_S alpha_S e_S`` over subsets S of the
-fiber basis {1..d}, with form-valued coefficients alpha_S living on a chart.
-The same container serves two algebras, selected by a tag:
+A Lambda(V)-valued form is a ``FormValue`` whose multi-indices also use the
+d generators e_1..e_d of a Euclidean fiber V, labelled ``chart_dim + 1 ..
+chart_dim + d`` after the chart differentials (``fiber_dim = d``). With
+that forms-first order, ``exterior.wedge`` is the product of the
+supercommutative algebra Omega(chart) (x) Lambda(V) (Mathai-Quillen): the
+Koszul rule (alpha e_S)(beta e_T) = (-1)^{|S| deg beta} (alpha ^ beta)(e_S e_T)
+is its sign of sorting the merged labels. ``generator_form(m, d, S)`` is the
+monomial e_S, so a coefficient is attached by ``wedge(alpha, e_S)``.
 
-* ``"wedge"``:    e_i e_j = -e_j e_i, e_i^2 = 0;
-* ``"clifford"``: c_i c_j = -c_j c_i (i != j), c_i^2 = -1.
+The Clifford algebra C(V), c_i c_j = -c_j c_i (i != j) and c_i^2 = -1, is
+read on the same storage through the symbol map c_S <-> e_S, a linear
+identification: ``algebra_mul`` is the Clifford product, ``tau_map`` sends
+degree-2 elements to antisymmetric matrices normalized by
+tau(c_i c_j) e_i = 2 e_j, and ``spinor_rep`` sends c_S to the rank-2 spinor
+matrix of S.
 
-Products use the Koszul rule for moving generator words past form
-coefficients: (alpha e_S)(beta e_T) = (-1)^{|S| deg(beta)} (alpha ^ beta)
-(e_S e_T), applied per homogeneous form component of beta.
-
-The Berezin map T reads off the coefficient of the top generator e_1...e_d;
-the symbol maps retag between the two algebras; tau sends degree-2 Clifford
-elements to antisymmetric matrices normalized by tau(c_i c_j) e_i = 2 e_j.
+The Berezin map T reads off the coefficient of the top monomial
+e_1 ... e_d; ``wedge_exp`` is the exponential of a nilpotent form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Number
 
 import numpy as np
 
 from .exterior import (
     FormValue,
-    degree_involution,
     differentiate_value,
     merge_multiindex,
     wedge,
@@ -39,12 +44,11 @@ from .superlinalg import (
 )
 
 __all__ = [
-    "GradedElement",
     "SpinorRep2",
+    "generator_form",
+    "generator_coefficient",
     "algebra_mul",
     "berezin_T",
-    "symbol_map",
-    "symbol_inverse",
     "tau_map",
     "wedge_exp",
     "pfaffian",
@@ -55,79 +59,28 @@ __all__ = [
     "default_spinor_rep",
 ]
 
-WEDGE = "wedge"
-CLIFFORD = "clifford"
-
 # Terms kept when evaluating entire functions (sin, cos, ...) of a form
 # argument by Maclaurin series; machine precision for |value part| <= ~5.
 SERIES_TERMS = 48
 
 
-@dataclass
-class GradedElement:
-    """An element of Lambda(V) or C(V) with form coefficients (see module doc)."""
+def generator_form(chart_dim: int, fiber_dim: int, subset: tuple[int, ...]) -> FormValue:
+    """The generator monomial e_S (S increasing in 1..fiber_dim) as a form."""
+    labels = tuple(chart_dim + i for i in subset)
+    return FormValue(chart_dim, {labels: 1.0}, fiber_dim=fiber_dim)
 
-    algebra: str
-    dim_v: int
-    chart_dim: int
-    terms: dict[tuple[int, ...], FormValue]
 
-    def __post_init__(self):
-        if self.algebra not in (WEDGE, CLIFFORD):
-            raise ValueError(f"unknown algebra tag {self.algebra!r}")
-        clean = {}
-        for s, fv in self.terms.items():
-            s = tuple(s)
-            if any(not 1 <= i <= self.dim_v for i in s) or list(s) != sorted(set(s)):
-                raise ValueError(f"bad generator subset {s!r}")
-            if fv.chart_dim != self.chart_dim:
-                raise ValueError("coefficient chart dimension mismatch")
-            clean[s] = fv
-        self.terms = clean
-
-    # -- helpers ---------------------------------------------------------
-
-    def coefficient(self, subset: tuple[int, ...]) -> FormValue:
-        return self.terms.get(tuple(subset), FormValue.zero(self.chart_dim))
-
-    def max_abs(self) -> float:
-        return max((fv.max_abs() for fv in self.terms.values()), default=0.0)
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._compatible(other)
-        out = dict(self.terms)
-        for s, fv in other.terms.items():
-            out[s] = out[s] + fv if s in out else fv
-        return GradedElement(self.algebra, self.dim_v, self.chart_dim, out)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + other * (-1.0)
-
-    def __mul__(self, scalar) -> "GradedElement":
-        return GradedElement(
-            self.algebra,
-            self.dim_v,
-            self.chart_dim,
-            {s: fv * scalar for s, fv in self.terms.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def prune(self, tol: float = 0.0) -> "GradedElement":
-        return GradedElement(
-            self.algebra,
-            self.dim_v,
-            self.chart_dim,
-            {s: fv for s, fv in self.terms.items() if fv.max_abs() > tol},
-        )
-
-    def _compatible(self, other: "GradedElement") -> None:
-        if (
-            self.algebra != other.algebra
-            or self.dim_v != other.dim_v
-            or self.chart_dim != other.chart_dim
-        ):
-            raise ValueError("incompatible graded elements")
+def generator_coefficient(a: FormValue, subset: tuple[int, ...]) -> FormValue:
+    """The chart form alpha_S of e_S in a = sum_S alpha_S e_S."""
+    m = a.chart_dim
+    labels = tuple(m + i for i in subset)
+    k = len(labels)
+    out = {}
+    for index, coeff in a.terms.items():
+        cut = len(index) - k
+        if index[cut:] == labels and (cut == 0 or index[cut - 1] <= m):
+            out[index[:cut]] = coeff
+    return FormValue(m, out, validate=False)
 
 
 @lru_cache(maxsize=4096)
@@ -153,84 +106,76 @@ def _clifford_word(left: tuple[int, ...], right: tuple[int, ...]):
     return sign, tuple(out)
 
 
-def algebra_mul(a: GradedElement, b: GradedElement) -> GradedElement:
-    """Product in the tagged algebra, with the Koszul coefficient rule."""
-    a._compatible(b)
-    out: dict[tuple[int, ...], FormValue] = {}
-    for s_left, f_left in a.terms.items():
-        odd_word = len(s_left) % 2 == 1
-        for s_right, f_right in b.terms.items():
-            adj = degree_involution(f_right) if odd_word else f_right
-            if a.algebra == WEDGE:
-                sign, merged = merge_multiindex(s_left, s_right)
-                if sign == 0:
-                    continue
-            else:
-                sign, merged = _clifford_word(s_left, s_right)
-            coeff = wedge(f_left, adj)
-            if sign < 0:
-                coeff = -coeff
-            out[merged] = out[merged] + coeff if merged in out else coeff
-    return GradedElement(a.algebra, a.dim_v, a.chart_dim, out)
+def algebra_mul(a: FormValue, b: FormValue) -> FormValue:
+    """Clifford product of two C(V)-valued forms, with the Koszul rule."""
+    if a.chart_dim != b.chart_dim or a.fiber_dim != b.fiber_dim:
+        raise ValueError("Clifford factors differ in chart dimension or rank")
+    m = a.chart_dim
+    out: dict[tuple[int, ...], object] = {}
+    for i_left, c_left in a.terms.items():
+        cut_left = bisect_right(i_left, m)
+        form_left, word_left = i_left[:cut_left], i_left[cut_left:]
+        for i_right, c_right in b.terms.items():
+            cut_right = bisect_right(i_right, m)
+            sign, form = merge_multiindex(form_left, i_right[:cut_right])
+            if sign == 0:
+                continue
+            word_sign, word = _clifford_word(word_left, i_right[cut_right:])
+            if len(word_left) * cut_right % 2:
+                word_sign = -word_sign
+            term = c_left * c_right
+            if sign != word_sign:
+                term = -term
+            key = form + word
+            out[key] = out[key] + term if key in out else term
+    return FormValue(m, out, validate=False, fiber_dim=a.fiber_dim)
 
 
-def berezin_T(a: GradedElement) -> FormValue:
+def berezin_T(a: FormValue) -> FormValue:
     """Coefficient of the top generator monomial e_1 ... e_d."""
-    return a.coefficient(tuple(range(1, a.dim_v + 1)))
+    return generator_coefficient(a, tuple(range(1, a.fiber_dim + 1)))
 
 
-def symbol_map(c: GradedElement) -> GradedElement:
-    """Basis-to-basis identification C(V) -> Lambda(V) (c_S -> e_S)."""
-    if c.algebra != CLIFFORD:
-        raise ValueError("symbol_map expects a Clifford element")
-    return GradedElement(WEDGE, c.dim_v, c.chart_dim, dict(c.terms))
-
-
-def symbol_inverse(a: GradedElement) -> GradedElement:
-    """Quantization map Lambda(V) -> C(V) (e_S -> c_S)."""
-    if a.algebra != WEDGE:
-        raise ValueError("symbol_inverse expects a wedge element")
-    return GradedElement(CLIFFORD, a.dim_v, a.chart_dim, dict(a.terms))
-
-
-def tau_map(c: GradedElement) -> np.ndarray:
+def tau_map(c: FormValue) -> np.ndarray:
     """Degree-2 Clifford elements as antisymmetric matrices.
 
     Normalized by tau(c_i c_j): e_i -> 2 e_j, e_j -> -2 e_i. Coefficients
-    must be numeric (degree-0 forms); higher generator degrees are rejected.
+    must be numeric: a term carrying chart differentials, or of generator
+    degree other than 0 or 2, is rejected. The degree-0 part maps to 0.
     """
-    if c.algebra != CLIFFORD:
-        raise ValueError("tau_map expects a Clifford element")
-    d = c.dim_v
+    m, d = c.chart_dim, c.fiber_dim
     mat = np.zeros((d, d), dtype=complex)
-    for s, fv in c.terms.items():
-        if len(s) == 0:
+    for index, coeff in c.terms.items():
+        if index and index[0] <= m:
+            raise ValueError("tau_map needs numeric coefficients (form degree 0)")
+        if len(index) == 0:
             continue
-        if len(s) != 2:
+        if len(index) != 2:
             raise ValueError("tau_map is defined on generator degree 2")
-        b = fv.coefficient(())
-        b = jet_value(b)
-        i, j = s[0] - 1, s[1] - 1
+        b = jet_value(coeff)
+        i, j = index[0] - m - 1, index[1] - m - 1
         mat[j, i] += 2.0 * b
         mat[i, j] -= 2.0 * b
     return mat
 
 
-def wedge_exp(a: GradedElement, scalar_part=None) -> GradedElement:
-    """exp of a wedge element with no scalar term, times exp(scalar_part).
+def wedge_exp(a: FormValue, scalar_part=None) -> FormValue:
+    """exp of a nilpotent form, times exp(scalar_part).
 
-    The nilpotent sum terminates at total degree dim_v + chart_dim; the
-    scalar part (a number or Jet) exponentiates exactly.
+    ``a`` may use fiber generators but must have no degree-0 value: the sum
+    terminates at total degree chart_dim + fiber_dim only for a nilpotent
+    argument. A scalar part (a number or Jet) is passed separately and
+    exponentiates exactly.
     """
-    if a.algebra != WEDGE:
-        raise ValueError("wedge_exp expects a wedge element")
-    kmax = a.dim_v + a.chart_dim
-    one = FormValue.scalar(1.0, a.chart_dim)
-    acc = GradedElement(WEDGE, a.dim_v, a.chart_dim, {(): one})
+    if jet_value(a.terms.get((), 0.0)) != 0:
+        raise ValueError(
+            "wedge_exp needs a nilpotent form; pass its degree-0 part as scalar_part"
+        )
+    acc = FormValue.scalar(1.0, a.chart_dim, a.fiber_dim)
     term = acc
-    for k in range(1, kmax + 1):
-        term = algebra_mul(term, a) * (1.0 / k)
-        if not term.prune().terms:
+    for k in range(1, a.chart_dim + a.fiber_dim + 1):
+        term = wedge(term, a) * (1.0 / k)
+        if not term.terms:
             break
         acc = acc + term
     if scalar_part is not None:
@@ -239,8 +184,8 @@ def wedge_exp(a: GradedElement, scalar_part=None) -> GradedElement:
     return acc
 
 
-def pfaffian(l2: GradedElement) -> FormValue:
-    """Berezin integral of exp of a generator-degree-2 wedge element.
+def pfaffian(l2: FormValue) -> FormValue:
+    """Berezin integral of exp of a generator-degree-2 form.
 
     For L = sum_{i<j} A_{ji} e_i e_j with numeric coefficients this is the
     Pfaffian of the antisymmetric matrix A; form coefficients ride along.
@@ -248,51 +193,48 @@ def pfaffian(l2: GradedElement) -> FormValue:
     return berezin_T(wedge_exp(l2))
 
 
-def contraction(a: GradedElement, xs) -> GradedElement:
+def contraction(a: FormValue, xs) -> FormValue:
     """Interior product by sum_i x_i e_i, as an odd derivation.
 
-    ``xs`` is a sequence of d coefficients (numbers or Jets).
+    ``xs`` is a sequence of d coefficients (numbers or Jets). Removing the
+    generator at position pos of a sorted index costs (-1)^pos: the labels
+    before it are the form's differentials and the earlier generators.
     """
-    out: dict[tuple[int, ...], FormValue] = {}
-    for s, fv in a.terms.items():
-        fv_adj = degree_involution(fv)
-        for pos, i in enumerate(s):
-            x = xs[i - 1]
-            if isinstance(x, (int, float, complex)) and x == 0:
+    m = a.chart_dim
+    out: dict[tuple[int, ...], object] = {}
+    for index, coeff in a.terms.items():
+        for pos in range(bisect_right(index, m), len(index)):
+            x = xs[index[pos] - m - 1]
+            if isinstance(x, Number) and x == 0:
                 continue
-            rest = s[:pos] + s[pos + 1 :]
-            coeff = fv_adj * x
+            term = coeff * x
             if pos % 2 == 1:
-                coeff = -coeff
-            out[rest] = out[rest] + coeff if rest in out else coeff
-    return GradedElement(a.algebra, a.dim_v, a.chart_dim, out)
+                term = -term
+            rest = index[:pos] + index[pos + 1 :]
+            out[rest] = out[rest] + term if rest in out else term
+    return FormValue(m, out, validate=False, fiber_dim=a.fiber_dim)
 
 
-def covariant_wedge(a: GradedElement, w_entries) -> GradedElement:
+def covariant_wedge(a: FormValue, w_entries) -> FormValue:
     """Covariant derivative on Lambda(V)-valued forms, frame connection W.
 
     ``w_entries[l][i]`` is the 1-form (nabla e_{i+1}, e_{l+1}) as a
     FormValue. Coefficients of ``a`` must carry jets (d consumes one order).
+    The derivative is d + sum_{l,i} W[l][i] e_l iota_i, iota_i the
+    contraction with the i-th dual basis vector.
     """
-    out: dict[tuple[int, ...], FormValue] = {}
-
-    def accumulate(subset, fv):
-        out[subset] = out[subset] + fv if subset in out else fv
-
-    for s, fv in a.terms.items():
-        accumulate(s, differentiate_value(fv))
-        for pos, i in enumerate(s):
-            inner = -1.0 if pos % 2 == 1 else 1.0
-            rest = s[:pos] + s[pos + 1 :]
-            for l in range(1, a.dim_v + 1):
-                w = w_entries[l - 1][i - 1]
-                if w is None or not w.terms:
-                    continue
-                sign, merged = merge_multiindex((l,), rest)
-                if sign == 0:
-                    continue
-                accumulate(merged, wedge(w, fv) * (inner * sign))
-    return GradedElement(a.algebra, a.dim_v, a.chart_dim, out)
+    m, d = a.chart_dim, a.fiber_dim
+    out = differentiate_value(a)
+    for i in range(d):
+        unit = [0.0] * d
+        unit[i] = 1.0
+        contracted = contraction(a, unit)
+        for l in range(d):
+            w = w_entries[l][i]
+            if w is None or not w.terms:
+                continue
+            out = out + wedge(w, wedge(generator_form(m, d, (l + 1,)), contracted))
+    return out
 
 
 # -- entire functions of even form arguments ---------------------------------
@@ -330,7 +272,7 @@ def evaluate_entire(kind: str, b: FormValue) -> FormValue:
     return acc
 
 
-def clifford_exp_dim2(a1: FormValue, a2: FormValue, b: FormValue) -> GradedElement:
+def clifford_exp_dim2(a1: FormValue, a2: FormValue, b: FormValue) -> FormValue:
     """Closed-form exp(a1 c1 + a2 c2 + b c1 c2) in the rank-2 Clifford algebra.
 
     a1, a2 are odd forms, b an even form (numeric part allowed). Uses
@@ -344,13 +286,13 @@ def clifford_exp_dim2(a1: FormValue, a2: FormValue, b: FormValue) -> GradedEleme
     sincb = evaluate_entire("sinc", b)
     hb = evaluate_entire("sincdiff", b)
     w = wedge(a1, a2)
-    terms = {
-        (): cosb + wedge(hb, w),
-        (1,): wedge(sincb, a1),
-        (2,): wedge(sincb, a2),
-        (1, 2): sinb - wedge(sincb, w),
-    }
-    return GradedElement(CLIFFORD, 2, m, terms)
+    return (
+        cosb
+        + wedge(hb, w)
+        + wedge(wedge(sincb, a1), generator_form(m, 2, (1,)))
+        + wedge(wedge(sincb, a2), generator_form(m, 2, (2,)))
+        + wedge(sinb - wedge(sincb, w), generator_form(m, 2, (1, 2)))
+    )
 
 
 # -- the rank-2 spinor representation -----------------------------------------
@@ -400,38 +342,35 @@ def default_spinor_rep() -> SpinorRep2:
 
 
 def spinor_rep(
-    a: GradedElement, rep: SpinorRep2, order: int | None = None
+    a: FormValue, rep: SpinorRep2, order: int | None = None
 ) -> SuperMatrixForm:
     """Represent a rank-2 Clifford element as a graded matrix of forms.
 
-    The forms-first storage twists an entry sitting in the odd block by
+    The one place where e_S becomes c_S = ``rep.matrix(S)``. The
+    forms-first storage twists an entry sitting in the odd block by
     (-1)^{form degree}, which here reduces to scaling whole components by
     (-1)^{|I| |S|}.
     """
-    if a.algebra != CLIFFORD or a.dim_v != 2:
+    if a.fiber_dim != 2:
         raise ValueError("spinor_rep expects a rank-2 Clifford element")
     m = a.chart_dim
     if order is None:
         orders = [
-            (1 if c.hess is None else 2)
-            for fv in a.terms.values()
-            for c in fv.terms.values()
-            if isinstance(c, Jet)
+            (1 if c.hess is None else 2) for c in a.terms.values() if isinstance(c, Jet)
         ]
         order = min(orders, default=0)
     slots = jet_slots(order, m)
     comps: dict[tuple[int, ...], np.ndarray] = {}
-    for s, fv in a.terms.items():
-        mat = rep.matrix(s)
-        word_odd = len(s) % 2 == 1
-        for index, coeff in fv.terms.items():
-            sign = -1.0 if (word_odd and len(index) % 2 == 1) else 1.0
-            stack = coefficient_to_slots(coeff, m, order)
-            block = sign * stack[:, None, None] * mat[None, :, :]
-            if index in comps:
-                comps[index] = comps[index] + block
-            else:
-                comps[index] = block
+    for label, coeff in a.terms.items():
+        cut = bisect_right(label, m)
+        index, word = label[:cut], tuple(i - m for i in label[cut:])
+        sign = -1.0 if (len(word) % 2 == 1 and cut % 2 == 1) else 1.0
+        stack = coefficient_to_slots(coeff, m, order)
+        block = sign * stack[:, None, None] * rep.matrix(word)[None, :, :]
+        if index in comps:
+            comps[index] = comps[index] + block
+        else:
+            comps[index] = block
     if not comps:
         comps[()] = np.zeros((slots, 2, 2), dtype=complex)
     return SuperMatrixForm(ParitySplit(1, 1), m, comps)

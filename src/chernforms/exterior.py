@@ -6,6 +6,14 @@ A form value is a finite sum ``sum_I f_I dx_I`` over strictly increasing
 wraps an evaluator from chart points to form values, and the exterior
 derivative differentiates the jet coefficients (consuming one derivative
 order).
+
+A form value may also carry ``fiber_dim`` odd generators e_1..e_d of an
+exterior algebra Lambda(V), labelled ``chart_dim + 1 .. chart_dim + d``
+after the chart differentials. The index I u S then stores (f dx_I) e_S,
+forms first, and ``wedge`` on such indices is the product of the
+supercommutative algebra Omega(chart) (x) Lambda(V): moving e_S past a
+form of degree k gives the Koszul sign (-1)^{|S| k}. The exterior
+derivative acts on the chart labels only.
 """
 
 from __future__ import annotations
@@ -94,26 +102,33 @@ def merge_multiindex(left, right):
 
 
 class FormValue:
-    """A differential form at a point: mapping multi-index -> coefficient."""
+    """A differential form at a point: mapping multi-index -> coefficient.
 
-    __slots__ = ("chart_dim", "terms")
+    ``fiber_dim`` counts the Lambda(V) generators the indices may use (see
+    the module docstring); it is 0 for a plain chart form.
+    """
 
-    def __init__(self, chart_dim: int, terms=None, validate: bool = True):
+    __slots__ = ("chart_dim", "fiber_dim", "terms")
+
+    def __init__(self, chart_dim: int, terms=None, validate: bool = True, fiber_dim: int = 0):
         self.chart_dim = int(chart_dim)
+        self.fiber_dim = fiber_dim
         self.terms = dict(terms) if terms else {}
         if validate:
+            if not (isinstance(fiber_dim, (int, np.integer)) and fiber_dim >= 0):
+                raise ValueError(f"fiber generator count {fiber_dim!r} is not a count")
             for index in self.terms:
-                _check_index(index, self.chart_dim)
+                _check_index(index, self.chart_dim + fiber_dim)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(chart_dim: int) -> "FormValue":
-        return FormValue(chart_dim, {})
+    def zero(chart_dim: int, fiber_dim: int = 0) -> "FormValue":
+        return FormValue(chart_dim, {}, fiber_dim=fiber_dim)
 
     @staticmethod
-    def scalar(value, chart_dim: int) -> "FormValue":
-        return FormValue(chart_dim, {(): value}, validate=False)
+    def scalar(value, chart_dim: int, fiber_dim: int = 0) -> "FormValue":
+        return FormValue(chart_dim, {(): value}, validate=False, fiber_dim=fiber_dim)
 
     # -- inspection ------------------------------------------------------
 
@@ -132,6 +147,7 @@ class FormValue:
             self.chart_dim,
             {i: c for i, c in self.terms.items() if len(i) == degree},
             validate=False,
+            fiber_dim=self.fiber_dim,
         )
 
     def max_abs(self) -> float:
@@ -144,12 +160,11 @@ class FormValue:
     def _binary(self, other, op):
         if not isinstance(other, FormValue):
             return NotImplemented
-        if other.chart_dim != self.chart_dim:
-            raise ValueError("chart dimension mismatch")
+        fiber_dim = _joint_fiber_dim(self, other)
         out = dict(self.terms)
         for index, coeff in other.terms.items():
             out[index] = op(out[index], coeff) if index in out else op(0.0, coeff)
-        return FormValue(self.chart_dim, out, validate=False)
+        return FormValue(self.chart_dim, out, validate=False, fiber_dim=fiber_dim)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -166,6 +181,7 @@ class FormValue:
                 self.chart_dim,
                 {i: c * scalar for i, c in self.terms.items()},
                 validate=False,
+                fiber_dim=self.fiber_dim,
             )
         return NotImplemented
 
@@ -177,6 +193,7 @@ class FormValue:
             self.chart_dim,
             {i: jet_value(c) for i, c in self.terms.items()},
             validate=False,
+            fiber_dim=self.fiber_dim,
         )
 
     def prune(self, tol: float = 0.0) -> "FormValue":
@@ -184,19 +201,35 @@ class FormValue:
             self.chart_dim,
             {i: c for i, c in self.terms.items() if abs(jet_value(c)) > tol},
             validate=False,
+            fiber_dim=self.fiber_dim,
         )
 
     def __repr__(self):
         body = ", ".join(
             f"{i}: {jet_value(c):.6g}" for i, c in sorted(self.terms.items())
         )
-        return f"FormValue(m={self.chart_dim}, {{{body}}})"
+        fiber = f", d={self.fiber_dim}" if self.fiber_dim else ""
+        return f"FormValue(m={self.chart_dim}{fiber}, {{{body}}})"
+
+
+def _joint_fiber_dim(a: FormValue, b: FormValue) -> int:
+    """Generator count of a sum or product; a plain chart form fits any."""
+    if a.chart_dim != b.chart_dim:
+        raise ValueError("chart dimension mismatch")
+    if a.fiber_dim == b.fiber_dim or not b.fiber_dim:
+        return a.fiber_dim
+    if not a.fiber_dim:
+        return b.fiber_dim
+    raise ValueError("fiber generator count mismatch")
 
 
 def wedge(a: FormValue, b: FormValue) -> FormValue:
-    """Exterior product of two form values on the same chart."""
-    if a.chart_dim != b.chart_dim:
-        raise ValueError("chart dimension mismatch")
+    """Exterior product of two form values on the same chart.
+
+    On indices that use fiber generators this is the product of
+    Omega(chart) (x) Lambda(V) (see the module docstring).
+    """
+    fiber_dim = _joint_fiber_dim(a, b)
     out: dict[tuple[int, ...], object] = {}
     for i_left, c_left in a.terms.items():
         for i_right, c_right in b.terms.items():
@@ -207,7 +240,7 @@ def wedge(a: FormValue, b: FormValue) -> FormValue:
             if sign < 0:
                 term = -term
             out[merged] = out[merged] + term if merged in out else term
-    return FormValue(a.chart_dim, out, validate=False)
+    return FormValue(a.chart_dim, out, validate=False, fiber_dim=fiber_dim)
 
 
 def degree_involution(a: FormValue) -> FormValue:
@@ -216,6 +249,7 @@ def degree_involution(a: FormValue) -> FormValue:
         a.chart_dim,
         {i: (c if len(i) % 2 == 0 else -1.0 * c) for i, c in a.terms.items()},
         validate=False,
+        fiber_dim=a.fiber_dim,
     )
 
 
@@ -241,7 +275,10 @@ class FormField:
 
 
 def differentiate_value(fv: FormValue) -> FormValue:
-    """Exterior derivative of a single form value with Jet coefficients."""
+    """Exterior derivative of a single form value with Jet coefficients.
+
+    Acts on the chart differentials only: d((f dx_I) e_S) = (df dx_I) e_S.
+    """
     m = fv.chart_dim
     out: dict[tuple[int, ...], object] = {}
     for index, coeff in fv.terms.items():
@@ -260,7 +297,7 @@ def differentiate_value(fv: FormValue) -> FormValue:
             if sign < 0:
                 part = -part
             out[merged] = out[merged] + part if merged in out else part
-    return FormValue(m, out, validate=False)
+    return FormValue(m, out, validate=False, fiber_dim=fv.fiber_dim)
 
 
 def curvature_entry(w, l: int, i: int) -> FormValue:

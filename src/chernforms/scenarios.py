@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .clifford_berezin import (
-    CLIFFORD,
-    GradedElement,
     clifford_exp_dim2,
     default_spinor_rep,
+    generator_form,
     spinor_rep,
 )
 from .exterior import (
@@ -582,7 +581,11 @@ def _riemann_roch_checks(config: ScenarioConfig):
             a2 = FormValue(2, {(1,): cnum(), (2,): cnum()})
             b = FormValue(2, {(): 0.5 * cnum(), (1, 2): cnum()})
             closed = spinor_rep(clifford_exp_dim2(a1, a2, b), rep)
-            element = GradedElement(CLIFFORD, 2, 2, {(1,): a1, (2,): a2, (1, 2): b})
+            element = (
+                wedge(a1, generator_form(2, 2, (1,)))
+                + wedge(a2, generator_form(2, 2, (2,)))
+                + wedge(b, generator_form(2, 2, (1, 2)))
+            )
             direct = graded_exp(spinor_rep(element, rep))
             devs.append((graded_norm(closed - direct), 1.0))
         return _sweep_outcome(

@@ -30,13 +30,11 @@ from typing import Callable
 import numpy as np
 
 from .clifford_berezin import (
-    CLIFFORD,
-    WEDGE,
-    GradedElement,
     SpinorRep2,
-    algebra_mul,
     berezin_T,
     default_spinor_rep,
+    generator_coefficient,
+    generator_form,
     pfaffian,
     spinor_rep,
     wedge_exp,
@@ -117,16 +115,18 @@ class EuclideanBundle:
     def from_lower_entries(rank, base_dim, entries) -> "EuclideanBundle":
         """Build the skew matrix from ``entries(point) -> {(i, j): w_ij}``.
 
-        Keys are 1-based pairs with i > j, giving entry [i-1][j-1]; the
-        transposed entries get the opposite sign.
+        Keys are 1-based pairs with rank >= i > j >= 1, giving entry
+        [i-1][j-1]; the transposed entries get the opposite sign.
         """
 
         def conn(p):
             zero = FormValue.zero(base_dim)
             mat = [[zero for _ in range(rank)] for _ in range(rank)]
             for (i, j), w in entries(p).items():
-                if not i > j:
-                    raise ValueError("entries must be strictly lower-triangular")
+                if not rank >= i > j >= 1:
+                    raise ValueError(
+                        f"entry {(i, j)!r} is not strictly lower-triangular in 1..{rank}"
+                    )
                 mat[i - 1][j - 1] = w
                 mat[j - 1][i - 1] = -w
             return mat
@@ -167,18 +167,23 @@ def lift_to_total(fv: FormValue, base_dim: int, rank: int) -> FormValue:
     return FormValue(m, out, validate=False)
 
 
-def _half_curvature(w, d: int, m: int) -> GradedElement:
+def _half_curvature(w, d: int, m: int) -> FormValue:
     """(1/2) sum_{i<j} F[j,i] e_i e_j for a d x d connection matrix w on an m-chart."""
-    terms = {
-        (i + 1, j + 1): curvature_entry(w, j, i) for i in range(d) for j in range(i + 1, d)
-    }
-    return GradedElement(WEDGE, d, m, terms) * 0.5
+    out = FormValue.zero(m, d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            f = curvature_entry(w, j, i) * 0.5
+            out = out + wedge(f, generator_form(m, d, (i + 1, j + 1)))
+    return out
 
 
 class _FrameData:
-    """Per-point frame quantities on the total chart."""
+    """Per-point frame quantities on the total chart.
 
-    __slots__ = ("bundle", "m", "d", "w", "eta", "half_f", "xs", "r2", "h")
+    ``eta_e`` is sum_i eta_i e_i, so f_t = -t^2 |x|^2 + t eta_e + half_f.
+    """
+
+    __slots__ = ("bundle", "m", "d", "w", "eta", "eta_e", "half_f", "xs", "r2", "h")
 
     def __init__(self, bundle: EuclideanBundle, point, jet_order: int):
         if jet_order not in (0, 1):
@@ -212,38 +217,32 @@ class _FrameData:
             for k in range(d):
                 e = e + self.w[i][k] * fiber[k]
             self.eta.append(e)
+        self.eta_e = FormValue.zero(m, d)
+        for i in range(d):
+            self.eta_e = self.eta_e + wedge(self.eta[i], generator_form(m, d, (i + 1,)))
         self.half_f = _half_curvature(self.w, d, m)
         r2v = self.r2.value if isinstance(self.r2, Jet) else self.r2
         self.h = float(np.real(r2v))
 
-    def generator(self, t: float) -> GradedElement:
+    def generator(self, t: float) -> FormValue:
         """t sum_i eta_i e_i + (1/2) F: f_t without its scalar part -t^2 |x|^2."""
-        elem = self.half_f
-        for i in range(self.d):
-            elem = elem + GradedElement(
-                WEDGE, self.d, self.m, {(i + 1,): self.eta[i] * t}
-            )
-        return elem
+        return self.half_f + self.eta_e * t
 
-    def f_exp(self, t: float) -> GradedElement:
+    def f_exp(self, t: float) -> FormValue:
         return wedge_exp(self.generator(t), scalar_part=-(t * t) * self.r2)
 
-    def x_element(self) -> GradedElement:
-        return GradedElement(
-            WEDGE,
-            self.d,
-            self.m,
-            {
-                (k + 1,): FormValue(self.m, {(): self.xs[k]}, validate=False)
-                for k in range(self.d)
-            },
-        )
+    def x_element(self) -> FormValue:
+        """sum_k x_k e_k, the fiber coordinates against the generators."""
+        x = FormValue.zero(self.m, self.d)
+        for k in range(self.d):
+            x = x + generator_form(self.m, self.d, (k + 1,)) * self.xs[k]
+        return x
 
     def c_value(self, t: float) -> FormValue:
         return berezin_T(self.f_exp(t))
 
     def eta_value(self, t: float) -> FormValue:
-        return berezin_T(algebra_mul(self.x_element(), self.f_exp(t))) * (-1.0)
+        return berezin_T(wedge(self.x_element(), self.f_exp(t))) * (-1.0)
 
 
 def connection_lifted(
@@ -255,16 +254,15 @@ def connection_lifted(
 
 def f_t_element(
     bundle: EuclideanBundle, point, t: float, jet_order: int = 1
-) -> GradedElement:
+) -> FormValue:
     """The quadratic element -t^2 |x|^2 + t sum_i eta_i e_i + (1/2) F.
 
-    The scalar part sits in the empty-subset slot, so the covariant
-    derivative and the fiber contraction can act on the whole element;
+    The scalar part sits at the empty index, so the covariant derivative
+    and the fiber contraction can act on the whole element;
     (covariant_wedge - 2t contraction(x)) annihilates it.
     """
     frame = _FrameData(bundle, point, jet_order)
-    scalar = FormValue(frame.m, {(): -(t * t) * frame.r2}, validate=False)
-    return frame.generator(t) + GradedElement(WEDGE, frame.d, frame.m, {(): scalar})
+    return frame.generator(t) + FormValue.scalar(-(t * t) * frame.r2, frame.m, frame.d)
 
 
 def c_wedge(bundle: EuclideanBundle, t: float, jet_order: int = 0) -> FormField:
@@ -335,7 +333,7 @@ def _beta_closed(frame: _FrameData) -> FormValue:
         for jsize in range(0, d):
             for sub_j in combinations(rest, jsize):
                 sub_i = tuple(i for i in rest if i not in sub_j)
-                p_i = pexp.coefficient(sub_i)
+                p_i = generator_coefficient(pexp, sub_i)
                 if not p_i.terms:
                     continue
                 g = gamma_coefficient(k, sub_i, sub_j)
@@ -384,11 +382,17 @@ def beta_wedge(
 
 
 def thom_rel(bundle: EuclideanBundle, jet_order: int = 0) -> RelativeCochain:
-    """The relative pair (Pfaffian form, fiberwise primitive), normalized."""
+    """The relative pair (Pfaffian form, fiberwise primitive), normalized.
+
+    The first member is the Euler form of the base, lifted to the total
+    chart: it does not depend on the fiber coordinates.
+    """
     scale = 1.0 / epsilon_d(bundle.rank)
+    mb, d = bundle.base_dim, bundle.rank
+    euler = euler_form(bundle)
 
     def alpha_eval(p: ChartPoint) -> FormValue:
-        return pfaffian(_FrameData(bundle, p, jet_order).half_f) * scale
+        return lift_to_total(euler(ChartPoint(p.coords[:mb])), mb, d)
 
     alpha = FormField(bundle.total_dim, alpha_eval, name="thom_alpha")
     raw = beta_wedge(bundle, method="closed", jet_order=jet_order)
@@ -505,18 +509,6 @@ def _tr_log_s(fmat: list[list[FormValue]], m: int) -> FormValue:
     return total
 
 
-def _form_exp(fv: FormValue) -> FormValue:
-    """exp of a form with no degree-0 part (finite sum)."""
-    acc = FormValue.scalar(1.0, fv.chart_dim)
-    term = acc
-    for k in range(1, fv.chart_dim + 1):
-        term = wedge(term, fv) * (1.0 / k)
-        if not term.terms:
-            break
-        acc = acc + term
-    return acc
-
-
 def _a_hat_field(bundle: EuclideanBundle, sign: float, name: str) -> FormField:
     mb = bundle.base_dim
 
@@ -524,7 +516,7 @@ def _a_hat_field(bundle: EuclideanBundle, sign: float, name: str) -> FormField:
         w = bundle.connection(p)
         d = bundle.rank
         fmat = [[curvature_entry(w, l, i) for i in range(d)] for l in range(d)]
-        return _form_exp(_tr_log_s(fmat, mb) * sign)
+        return wedge_exp(_tr_log_s(fmat, mb) * sign)
 
     return FormField(mb, evaluate, name=name)
 
@@ -555,8 +547,7 @@ def spin_connection(
         p = as_point(point)
         w = bundle.connection(ChartPoint(p.coords[:mb]))
         entry = lift_to_total(w[1][0], mb, 2) * 0.5
-        elem = GradedElement(CLIFFORD, 2, m, {(1, 2): entry})
-        mat = spinor_rep(elem, rep, order=2)
+        mat = spinor_rep(wedge(entry, generator_form(m, 2, (1, 2))), rep, order=2)
         mat.components.pop((), None)
         return mat
 
@@ -601,8 +592,8 @@ def clifford_curvature(bundle: EuclideanBundle, rep: SpinorRep2 | None = None):
     def evaluate(point):
         p = as_point(point)
         w = bundle.connection(ChartPoint(p.coords[:mb]))
-        elem = GradedElement(CLIFFORD, 2, mb, {(1, 2): curvature_entry(w, 1, 0) * 0.5})
-        mat = spinor_rep(elem, rep, order=1)
+        half_f = curvature_entry(w, 1, 0) * 0.5
+        mat = spinor_rep(wedge(half_f, generator_form(mb, 2, (1, 2))), rep, order=1)
         mat.components.pop((), None)
         return mat
 

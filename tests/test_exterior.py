@@ -219,3 +219,34 @@ def test_form_value_component_and_prune():
     assert (1,) not in pruned.terms
     assert pruned.value((1, 2)) == 3.0
     assert v.degrees() == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "index, fiber_dim",
+    [((3,), 0), ((1, 5), 2), ((4, 3), 2), ((3, 3), 2), ((0,), 2), ((2, 1), 2)],
+)
+def test_fiber_labels_outside_the_range_or_unsorted_raise(index, fiber_dim):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FormValue(2, {index: 1.0}, fiber_dim=fiber_dim)
+
+
+def test_fiber_generator_counts_must_agree():
+    e1 = FormValue(2, {(3,): 1.0}, fiber_dim=2)
+    assert FormValue(2, {(1, 3, 4): 1.0}, fiber_dim=2).fiber_dim == 2
+    assert wedge(FormValue(2, {(1,): 1.0}), e1).fiber_dim == 2
+    with pytest.raises(ValueError, match="fiber generator count"):
+        wedge(e1, FormValue(2, {(3,): 1.0}, fiber_dim=3))
+    with pytest.raises(ValueError, match="fiber generator count"):
+        e1 + FormValue(2, {(3,): 1.0}, fiber_dim=1)
+    with pytest.raises(ValueError, match="not a count"):
+        FormValue(2, {}, fiber_dim=-1)
+
+
+def test_exterior_derivative_skips_fiber_labels():
+    """d((f dx_1) e_1) = (df dx_1) e_1: only chart labels are differentiated."""
+    x = jet_coordinates([0.3, -0.4], order=2)
+    fv = FormValue(2, {(1, 3): x[1] * x[1]}, fiber_dim=1)
+    got = differentiate_value(fv)
+    assert got.fiber_dim == 1
+    assert set(got.terms) == {(1, 2, 3)}
+    assert got.value((1, 2, 3)) == -(2 * -0.4)  # dx_2 ^ dx_1 = -dx_1 dx_2

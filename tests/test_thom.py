@@ -5,11 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from chernforms.clifford_berezin import contraction, covariant_wedge
+from chernforms.clifford_berezin import (
+    contraction,
+    covariant_wedge,
+    generator_form,
+    pfaffian,
+)
 from chernforms.exterior import (
     ChartPoint,
     FormValue,
+    curvature_entry,
     differentiate_value,
     wedge,
 )
@@ -299,3 +306,42 @@ def test_fiber_restriction_of_gaussian_form():
     r2 = 0.6**2 + 0.3**2
     want = np.exp(-r2) / np.pi
     assert abs(field(p).value((3, 4)) - want) < 1e-14
+
+
+@pytest.mark.parametrize("key", [(2, 0), (3, 1), (1, 1), (1, 2), (0, -1)])
+def test_from_lower_entries_rejects_keys_outside_the_rank(key):
+    """(2, 0) used to write onto the diagonal through index -1."""
+    w = FormValue(2, {(1,): 0.5})
+    bundle = EuclideanBundle.from_lower_entries(2, 2, lambda p: {key: w})
+    with pytest.raises(ValueError, match="lower-triangular in 1..2"):
+        bundle.connection(ChartPoint([0.1, 0.2]))
+
+
+def test_thom_alpha_is_the_lifted_euler_form():
+    """alpha does not see the fiber and equals the base Euler form, lifted."""
+    for bundle in (torus_bundle(LAM), rank4_bundle()):
+        mb, d = bundle.base_dim, bundle.rank
+        alpha = thom_rel(bundle, jet_order=1).alpha
+        euler = euler_form(bundle)
+        for _ in range(3):
+            base = RNG.uniform(-2.0, 2.0, mb)
+            want = lift_to_total(euler(ChartPoint(base)), mb, d)
+            for _ in range(3):
+                got = alpha(ChartPoint([*base, *RNG.normal(0, 1, d)]))
+                assert set(got.terms) == set(want.terms)
+                for index, coeff in want.terms.items():
+                    other = got.terms[index]
+                    assert other.value == coeff.value
+                    assert np.array_equal(other.grad, coeff.grad)
+                # The same Pfaffian from the curvature of the lifted
+                # connection on the total chart.
+                w = connection_lifted(bundle, ChartPoint([*base, *RNG.normal(0, 1, d)]))
+                m = bundle.total_dim
+                l2 = FormValue.zero(m, d)
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        half = curvature_entry(w, j, i) * 0.5
+                        l2 = l2 + wedge(half, generator_form(m, d, (i + 1, j + 1)))
+                lifted = pfaffian(l2) * (1.0 / epsilon_d(d))
+                for index, coeff in lifted.terms.items():
+                    assert coeff.value == got.value(index)
