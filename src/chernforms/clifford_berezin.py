@@ -11,10 +11,8 @@ monomial e_S, so a coefficient is attached by ``wedge(alpha, e_S)``.
 
 The Clifford algebra C(V), c_i c_j = -c_j c_i (i != j) and c_i^2 = -1, is
 read on the same storage through the symbol map c_S <-> e_S, a linear
-identification: ``algebra_mul`` is the Clifford product, ``tau_map`` sends
-degree-2 elements to antisymmetric matrices normalized by
-tau(c_i c_j) e_i = 2 e_j, and ``spinor_rep`` sends c_S to the rank-2 spinor
-matrix of S.
+identification: ``algebra_mul`` is the Clifford product, and ``spinor_rep``
+sends c_S to the rank-2 spinor matrix of S.
 
 The Berezin map T reads off the coefficient of the top monomial
 e_1 ... e_d; ``wedge_exp`` is the exponential of a nilpotent form.
@@ -49,7 +47,6 @@ __all__ = [
     "generator_coefficient",
     "algebra_mul",
     "berezin_T",
-    "tau_map",
     "wedge_exp",
     "pfaffian",
     "contraction",
@@ -134,29 +131,6 @@ def algebra_mul(a: FormValue, b: FormValue) -> FormValue:
 def berezin_T(a: FormValue) -> FormValue:
     """Coefficient of the top generator monomial e_1 ... e_d."""
     return generator_coefficient(a, tuple(range(1, a.fiber_dim + 1)))
-
-
-def tau_map(c: FormValue) -> np.ndarray:
-    """Degree-2 Clifford elements as antisymmetric matrices.
-
-    Normalized by tau(c_i c_j): e_i -> 2 e_j, e_j -> -2 e_i. Coefficients
-    must be numeric: a term carrying chart differentials, or of generator
-    degree other than 0 or 2, is rejected. The degree-0 part maps to 0.
-    """
-    m, d = c.chart_dim, c.fiber_dim
-    mat = np.zeros((d, d), dtype=complex)
-    for index, coeff in c.terms.items():
-        if index and index[0] <= m:
-            raise ValueError("tau_map needs numeric coefficients (form degree 0)")
-        if len(index) == 0:
-            continue
-        if len(index) != 2:
-            raise ValueError("tau_map is defined on generator degree 2")
-        b = jet_value(coeff)
-        i, j = index[0] - m - 1, index[1] - m - 1
-        mat[j, i] += 2.0 * b
-        mat[i, j] -= 2.0 * b
-    return mat
 
 
 def wedge_exp(a: FormValue, scalar_part=None) -> FormValue:

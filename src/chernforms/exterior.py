@@ -18,6 +18,7 @@ derivative acts on the chart labels only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from numbers import Number
 from typing import Callable
@@ -157,20 +158,21 @@ class FormValue:
 
     # -- algebra -----------------------------------------------------------
 
-    def _binary(self, other, op):
+    def _binary(self, other, op, right_only):
+        """Combine term by term; an index only ``other`` has gets right_only(coeff)."""
         if not isinstance(other, FormValue):
             return NotImplemented
         fiber_dim = _joint_fiber_dim(self, other)
         out = dict(self.terms)
         for index, coeff in other.terms.items():
-            out[index] = op(out[index], coeff) if index in out else op(0.0, coeff)
+            out[index] = op(out[index], coeff) if index in out else right_only(coeff)
         return FormValue(self.chart_dim, out, validate=False, fiber_dim=fiber_dim)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add, lambda b: b)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub, operator.neg)
 
     def __neg__(self):
         return self * (-1.0)
@@ -186,15 +188,6 @@ class FormValue:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def strip_jets(self) -> "FormValue":
-        """Forget derivative information, keeping plain complex coefficients."""
-        return FormValue(
-            self.chart_dim,
-            {i: jet_value(c) for i, c in self.terms.items()},
-            validate=False,
-            fiber_dim=self.fiber_dim,
-        )
 
     def prune(self, tol: float = 0.0) -> "FormValue":
         return FormValue(

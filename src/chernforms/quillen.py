@@ -34,7 +34,7 @@ import numpy as np
 from .exterior import ChartPoint, FormField, FormValue, as_point
 from .jets import jet_constant
 from .quadrature import barycentric_matrix, chebyshev_nodes, gauss_legendre, tail_cutoff
-from .relative import RelativeCochain, SupportDescriptor, p_chi
+from .relative import RelativeCochain, p_chi
 from .superlinalg import (
     ParitySplit,
     SuperMatrixForm,
@@ -78,13 +78,14 @@ class MorphismBundle:
 
     ``sigma(point)`` returns the matrix of sigma: E+ -> E- as a jet stack of
     shape (1 + m + m^2, minus_dim, plus_dim): value, gradients, row-major
-    Hessian. ``support`` describes where sigma fails to be invertible.
+    Hessian. ``support(point)`` says whether sigma fails to be invertible
+    there.
     """
 
     split: ParitySplit
     chart_dim: int
     sigma: Callable[[ChartPoint], np.ndarray]
-    support: SupportDescriptor
+    support: Callable[[ChartPoint], bool]
 
 
 @dataclass
@@ -244,7 +245,7 @@ def beta_form(
     return FormField(
         m,
         evaluate,
-        domain=lambda p: not b.support.contains(p),
+        domain=lambda p: not b.support(p),
         name="beta",
     )
 
@@ -272,8 +273,6 @@ def ch_rel(
     return RelativeCochain(
         alpha=chern_form(b, a, 0.0, jet_order=jet_order),
         beta=beta_form(b, a, 0.0, jet_order=jet_order),
-        support=b.support,
-        degree=None,
     )
 
 
@@ -341,7 +340,7 @@ def tensor_morphism(b1: MorphismBundle, b2: MorphismBundle) -> MorphismBundle:
         split=split,
         chart_dim=b1.chart_dim,
         sigma=sigma,
-        support=b1.support.intersect(b2.support),
+        support=lambda p: b1.support(p) and b2.support(p),
     )
 
 

@@ -1,7 +1,8 @@
 """Relative cochains (global form, off-support primitive) and their calculus.
 
 A relative cochain is a pair (alpha, beta): alpha defined on the whole
-chart, beta off a closed support region, with the differential
+chart, beta off a closed support region, which the ``domain`` of the beta
+field records. The differential is
 d(alpha, beta) = (d alpha, alpha|_off - d beta). The graded product needs a
 two-piece partition of unity (phi1, phi2) subordinate to the complements of
 the two supports; the extension map p_chi turns a cochain into a globally
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .jets import Jet, jet_value
 from .quadrature import gauss_hermite, gauss_legendre
 
 __all__ = [
-    "SupportDescriptor",
     "RelativeCochain",
     "d_rel",
     "product_phi",
@@ -46,36 +45,15 @@ __all__ = [
 
 
 @dataclass
-class SupportDescriptor:
-    """Where a cochain's primitive is unavailable.
-
-    ``contains(p)`` says whether p lies in the support region;
-    ``clearance(p)`` is a nonnegative margin for sample-point safety
-    (how far p is from the support, in whatever scale the scenario uses).
-    """
-
-    contains: Callable[[ChartPoint], bool]
-    clearance: Callable[[ChartPoint], float]
-
-    @staticmethod
-    def nowhere(chart_dim: int) -> "SupportDescriptor":
-        return SupportDescriptor(lambda p: False, lambda p: np.inf)
-
-    def intersect(self, other: "SupportDescriptor") -> "SupportDescriptor":
-        return SupportDescriptor(
-            lambda p: self.contains(p) and other.contains(p),
-            lambda p: max(self.clearance(p), other.clearance(p)),
-        )
-
-
-@dataclass
 class RelativeCochain:
-    """A pair (alpha, beta) with beta a primitive of alpha off the support."""
+    """A pair (alpha, beta) with beta a primitive of alpha off the support.
+
+    The support is not stored: the beta field's ``domain`` says where beta
+    exists.
+    """
 
     alpha: FormField
     beta: FormField
-    support: SupportDescriptor
-    degree: int | None = None
 
     @property
     def chart_dim(self) -> int:
@@ -91,8 +69,6 @@ def d_rel(c: RelativeCochain) -> RelativeCochain:
     return RelativeCochain(
         alpha=exterior_derivative(c.alpha),
         beta=FormField(c.chart_dim, beta_eval, domain=c.beta.domain),
-        support=c.support,
-        degree=None if c.degree is None else c.degree + 1,
     )
 
 
@@ -148,15 +124,7 @@ def product_phi(
                 out = out + wedge(dphi1, wedge(degree_involution(b1), b2))
         return out
 
-    degree = None
-    if a1.degree is not None and a2.degree is not None:
-        degree = a1.degree + a2.degree
-    return RelativeCochain(
-        alpha=FormField(m, alpha_eval),
-        beta=FormField(m, beta_eval),
-        support=a1.support.intersect(a2.support),
-        degree=degree,
-    )
+    return RelativeCochain(alpha=FormField(m, alpha_eval), beta=FormField(m, beta_eval))
 
 
 def p_chi(c: RelativeCochain, chi: FormField) -> FormField:
@@ -218,7 +186,6 @@ def integrate_fiber(
     base_point=None,
     order: int = 48,
     half_width: float | None = None,
-    gauss_scale: float = 1.0,
 ) -> FormValue:
     """Push a form on the total chart down the fiber coordinates.
 
@@ -230,7 +197,7 @@ def integrate_fiber(
 
     mode "compact" integrates over [-half_width, half_width]^d with
     Gauss-Legendre; mode "gaussian" uses Gauss-Hermite weights for
-    integrands decaying like exp(-gauss_scale * |x|^2) and covers the whole
+    integrands decaying like exp(-|x|^2) and covers the whole
     fiber; it raises ValueError for an order whose rescaled weights
     w e^{y^2} are not all finite and positive (above about order 370).
     """
@@ -261,8 +228,7 @@ def integrate_fiber(
                 f"Gauss-Hermite order {order} is unusable: its weights times "
                 "e^{y^2} underflow or overflow"
             )
-        root = np.sqrt(gauss_scale)
-        axes = [(y / root, scaled / root)] * d
+        axes = [(y, scaled)] * d
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

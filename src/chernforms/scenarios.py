@@ -46,13 +46,7 @@ from .quillen import (
     tensor_connection,
     tensor_morphism,
 )
-from .relative import (
-    SupportDescriptor,
-    integrate_compact,
-    integrate_fiber,
-    p_chi,
-    product_phi,
-)
+from .relative import integrate_compact, integrate_fiber, p_chi, product_phi
 from .report import CheckResult
 from .superlinalg import (
     HermitianEndo,
@@ -174,7 +168,7 @@ def bott_morphism() -> MorphismBundle:
         split=ParitySplit(1, 1),
         chart_dim=2,
         sigma=sigma,
-        support=SupportDescriptor(lambda p: modulus(p) < 1e-12, modulus),
+        support=lambda p: modulus(p) < 1e-12,
     )
 
 
@@ -250,7 +244,7 @@ def cylinder_morphism() -> MorphismBundle:
         split=ParitySplit(1, 1),
         chart_dim=2,
         sigma=sigma,
-        support=SupportDescriptor(lambda p: modulus(p) < 1e-12, modulus),
+        support=lambda p: modulus(p) < 1e-12,
     )
 
 
@@ -308,7 +302,7 @@ def plane_factor(which: int) -> MorphismBundle:
         split=ParitySplit(1, 1),
         chart_dim=4,
         sigma=sigma,
-        support=SupportDescriptor(lambda p: modulus(p) < 1e-12, modulus),
+        support=lambda p: modulus(p) < 1e-12,
     )
 
 
@@ -529,7 +523,7 @@ def _rank2_checks(config: ScenarioConfig):
 
     def gamma_vs_quadrature():
         closed = beta_wedge(bundle, method="closed")
-        quad = beta_wedge(bundle, method="quadrature", quad_order=96)
+        quad = beta_wedge(bundle, method="quadrature")
         devs = []
         for p in _total_points(_rng(config, 8), 20):
             want = closed(p)

@@ -50,22 +50,14 @@ from .exterior import (
 )
 from .jets import Jet, jet_constant, jet_coordinates
 from .quadrature import gauss_legendre, tail_cutoff
-from .quillen import (
-    MorphismBundle,
-    SuperConnectionData,
-    beta_form,
-    ch_rel,
-    chern_form,
-    eta_form,
-)
-from .relative import RelativeCochain, SupportDescriptor, p_chi
+from .quillen import MorphismBundle, SuperConnectionData, chern_form
+from .relative import RelativeCochain, p_chi
 from .superlinalg import ParitySplit
 
 __all__ = [
     "EuclideanBundle",
     "epsilon_d",
     "zero_section",
-    "connection_lifted",
     "f_t_element",
     "c_wedge",
     "eta_wedge",
@@ -83,8 +75,10 @@ __all__ = [
     "spin_morphism",
     "clifford_curvature",
     "riemann_roch_sides",
-    "riemann_roch_check",
 ]
+
+# Gauss-Legendre order of the quadrature route of beta_wedge on [0, T0].
+BETA_WEDGE_QUAD_ORDER = 96
 
 
 @dataclass
@@ -140,18 +134,22 @@ def epsilon_d(rank: int) -> float:
     return sign * np.pi ** (rank / 2.0)
 
 
-def zero_section(bundle: EuclideanBundle) -> SupportDescriptor:
-    def norm(p):
-        return float(np.linalg.norm(bundle.fiber_part(p)))
-
-    return SupportDescriptor(
-        contains=lambda p: norm(p) < 1e-12,
-        clearance=norm,
-    )
+def zero_section(bundle: EuclideanBundle) -> Callable[[ChartPoint], bool]:
+    """The support predicate: whether a total-chart point lies on the zero section."""
+    return lambda p: float(np.linalg.norm(bundle.fiber_part(p))) < 1e-12
 
 
 def lift_to_total(fv: FormValue, base_dim: int, rank: int) -> FormValue:
-    """Reinterpret a base-chart form on base x fiber (zero fiber derivatives)."""
+    """Reinterpret a base-chart form on base x fiber (zero fiber derivatives).
+
+    Raises ValueError for a form on another chart or one using Lambda(V)
+    generators, whose labels would otherwise be read as fiber differentials.
+    """
+    if fv.chart_dim != base_dim or fv.fiber_dim != 0:
+        raise ValueError(
+            f"lift_to_total needs a plain form on the {base_dim}-chart; got chart "
+            f"dimension {fv.chart_dim} with {fv.fiber_dim} fiber generators"
+        )
     m = base_dim + rank
     out = {}
     for index, coeff in fv.terms.items():
@@ -243,13 +241,6 @@ class _FrameData:
 
     def eta_value(self, t: float) -> FormValue:
         return berezin_T(wedge(self.x_element(), self.f_exp(t))) * (-1.0)
-
-
-def connection_lifted(
-    bundle: EuclideanBundle, point, jet_order: int = 1
-) -> list[list[FormValue]]:
-    """The connection matrix reinterpreted on the total chart."""
-    return _FrameData(bundle, point, jet_order).w
 
 
 def f_t_element(
@@ -348,13 +339,13 @@ def beta_wedge(
     bundle: EuclideanBundle,
     method: str = "closed",
     jet_order: int = 0,
-    quad_order: int = 48,
 ) -> FormField:
     """int_0^inf eta^t dt off the zero section.
 
     ``method="closed"`` assembles the Gamma-coefficient form;
     ``method="quadrature"`` integrates eta^t on [0, T0] with
-    T0 = max(4, 8/r) by Gauss-Legendre, an independent route.
+    T0 = max(4, 8/r) by Gauss-Legendre of order BETA_WEDGE_QUAD_ORDER, an
+    independent route.
     """
     if method not in ("closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -366,17 +357,17 @@ def beta_wedge(
         if method == "closed":
             return _beta_closed(frame)
         t_hi = tail_cutoff(frame.h, 0.0)
-        ts, ws = gauss_legendre(quad_order, 0.0, t_hi)
+        ts, ws = gauss_legendre(BETA_WEDGE_QUAD_ORDER, 0.0, t_hi)
         total = FormValue.zero(frame.m)
         for t, weight in zip(ts, ws):
             total = total + frame.eta_value(float(t)) * weight
         return total
 
-    sup = zero_section(bundle)
+    on_zero_section = zero_section(bundle)
     return FormField(
         bundle.total_dim,
         evaluate,
-        domain=lambda p: not sup.contains(p),
+        domain=lambda p: not on_zero_section(p),
         name=f"beta_wedge[{method}]",
     )
 
@@ -402,9 +393,7 @@ def thom_rel(bundle: EuclideanBundle, jet_order: int = 0) -> RelativeCochain:
         domain=raw.domain,
         name="thom_beta",
     )
-    return RelativeCochain(
-        alpha=alpha, beta=beta, support=zero_section(bundle), degree=bundle.rank
-    )
+    return RelativeCochain(alpha=alpha, beta=beta)
 
 
 def thom_mq(bundle: EuclideanBundle, t: float = 1.0, jet_order: int = 0) -> FormField:
@@ -624,45 +613,3 @@ def riemann_roch_sides(
     )
     rhs = _genus_weighted(bundle, c_wedge(bundle, t, jet_order=jet_order), -2j)
     return lhs, rhs
-
-
-def riemann_roch_check(
-    bundle: EuclideanBundle,
-    t_values,
-    points,
-    rep: SpinorRep2 | None = None,
-) -> dict[str, float]:
-    """Max abs coefficient error of the rank-2 character identities.
-
-    Checks, at every point and every t, the character form and transgression
-    identities Ch = (-2i) A-hat^{-1} C^t and eta = (-2i) A-hat^{-1} eta^t,
-    and (per point) the relative-pair scaling against 2i pi A-hat^{-1} times
-    the normalized Thom pair. Points must be off the zero section.
-    """
-    if bundle.rank != 2:
-        raise ValueError("the spinor bridge is implemented for rank 2")
-    rep = rep or default_spinor_rep()
-    morphism = spin_morphism(bundle)
-    connection = spin_connection(bundle, rep)
-    report = {"ch": 0.0, "eta": 0.0, "relative_alpha": 0.0, "relative_beta": 0.0}
-    for t in t_values:
-        ch_lhs, ch_rhs = riemann_roch_sides(bundle, float(t), rep)
-        eta_lhs = eta_form(morphism, connection, float(t))
-        eta_rhs = _genus_weighted(bundle, eta_wedge(bundle, float(t)), -2j)
-        for p in points:
-            report["ch"] = max(report["ch"], (ch_lhs(p) - ch_rhs(p)).max_abs())
-            report["eta"] = max(report["eta"], (eta_lhs(p) - eta_rhs(p)).max_abs())
-    pair = ch_rel(morphism, connection)
-    thom = thom_rel(bundle)
-    scale = 2j * np.pi
-    alpha_rhs = _genus_weighted(bundle, thom.alpha, scale)
-    beta_rhs = _genus_weighted(bundle, thom.beta, scale)
-    beta_lhs = beta_form(morphism, connection)
-    for p in points:
-        report["relative_alpha"] = max(
-            report["relative_alpha"], (pair.alpha(p) - alpha_rhs(p)).max_abs()
-        )
-        report["relative_beta"] = max(
-            report["relative_beta"], (beta_lhs(p) - beta_rhs(p)).max_abs()
-        )
-    return report

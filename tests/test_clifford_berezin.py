@@ -18,7 +18,6 @@ from chernforms.clifford_berezin import (
     generator_form,
     pfaffian,
     spinor_rep,
-    tau_map,
     wedge_exp,
 )
 from chernforms.exterior import FormValue, degree_involution, merge_multiindex, wedge
@@ -198,23 +197,6 @@ def _perm_sign(perm) -> float:
     return sign
 
 
-def test_tau_map_normalization():
-    m = 2
-    c12 = generator_form(m, 2, (1, 2))
-    tau = tau_map(c12)
-    assert np.allclose(tau, [[0.0, -2.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        tau_map(generator_form(m, 2, (1,)))
-
-
-def test_tau_map_rejects_form_parts():
-    """{(1,2): 1 + 5 dx1 dx2} is not a numeric degree-2 element."""
-    m = 2
-    coeff = FormValue(m, {(): 1.0, (1, 2): 5.0})
-    with pytest.raises(ValueError, match="numeric"):
-        tau_map(wedge(coeff, generator_form(m, 2, (1, 2))))
-
-
 def test_wedge_exp_top_term():
     m = 2
     b1, b2 = RNG.normal(), RNG.normal()
@@ -238,7 +220,9 @@ def test_supertrace_relation_dim2():
 
     For a = b c_1 c_2 the spinor supertrace of exp(a) factors through the
     half-determinant j(tau(a))^{1/2} = sin(b)/b times the Berezin integral
-    of the wedge exponential; both sides reduce to -2i sin(b).
+    of the wedge exponential; both sides reduce to -2i sin(b). Here tau(a)
+    is the rotation generator with angle phi = 2b, normalized by
+    tau(c_1 c_2) e_1 = 2 e_2.
     """
     m = 2
     rep = default_spinor_rep()
@@ -249,7 +233,7 @@ def test_supertrace_relation_dim2():
         element = wedge(bfv, generator_form(m, 2, (1, 2)))
         lhs = supertrace(graded_exp(spinor_rep(element, rep))).value(())
 
-        phi = tau_map(element)[1, 0]
+        phi = 2.0 * b
         half_det = np.sin(phi / 2.0) / (phi / 2.0)
         berezin = berezin_T(wedge_exp(element)).value(())
         rhs = -2j * half_det * berezin

@@ -21,13 +21,7 @@ from chernforms.exterior import (
     wedge,
 )
 from chernforms.jets import jet_coordinates
-from chernforms.relative import (
-    RelativeCochain,
-    SupportDescriptor,
-    d_rel,
-    p_chi,
-    product_phi,
-)
+from chernforms.relative import RelativeCochain, d_rel, p_chi, product_phi
 from helpers import poly_form_field, rand_points
 
 LEIBNIZ_TOL = 1e-10
@@ -59,7 +53,7 @@ def _real_selector(shift: float = 0.5) -> FormField:
 def _homogeneous_cochain(degree: int, closed: bool) -> RelativeCochain:
     beta = poly_form_field(RNG, M, degree - 1)
     alpha = exterior_derivative(beta) if closed else poly_form_field(RNG, M, degree)
-    return RelativeCochain(alpha, beta, SupportDescriptor.nowhere(M), degree=degree)
+    return RelativeCochain(alpha, beta)
 
 
 def test_graded_leibniz_suite():
@@ -139,7 +133,6 @@ def test_partition_independence_suite():
             RelativeCochain(
                 FormField(M, lambda p: FormValue.zero(M)),
                 FormField(M, primitive),
-                SupportDescriptor.nowhere(M),
             )
         )
         for p in rand_points(RNG, M, 5):

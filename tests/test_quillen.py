@@ -9,6 +9,7 @@ from chernforms.exterior import (
     ChartPoint,
     FormField,
     FormValue,
+    OutsideDomainError,
     differentiate_value,
     partition_pair,
     smooth_cutoff,
@@ -27,13 +28,7 @@ from chernforms.quillen import (
     tensor_connection,
     tensor_morphism,
 )
-from chernforms.relative import (
-    RelativeCochain,
-    SupportDescriptor,
-    d_rel,
-    integrate_compact,
-    product_phi,
-)
+from chernforms.relative import RelativeCochain, d_rel, integrate_compact, product_phi
 from chernforms.scenarios import (
     bott_morphism,
     cylinder_morphism,
@@ -265,7 +260,6 @@ def test_product_defect_is_relative_exact():
         RelativeCochain(
             FormField(4, lambda p: FormValue.zero(4)),
             FormField(4, lambda p: bf2(p) - bf1(p)),
-            SupportDescriptor.nowhere(4),
         )
     )
     for _ in range(3):
@@ -277,6 +271,18 @@ def test_product_defect_is_relative_exact():
         defect = pair_prod.beta(p) - pair_phi.beta(p)
         assert (defect - correction.beta(p)).max_abs() < 1e-6
         assert (pair_prod.alpha(p) - pair_phi.alpha(p)).max_abs() < 1e-10
+
+
+def test_tensor_morphism_support_is_the_common_zero_locus():
+    """The product is singular only where z1 = z2 = 0, so beta12 exists elsewhere."""
+    b1, b2 = plane_factor(1), plane_factor(2)
+    prod = tensor_morphism(b1, b2)
+    assert prod.support(ChartPoint([0.0, 0.0, 0.0, 0.0]))
+    for coords in ([0.0, 0.0, 0.3, 0.0], [0.0, 0.2, 0.0, 0.0], [0.5, 0.1, -0.3, 0.4]):
+        assert not prod.support(ChartPoint(coords))
+    beta12 = beta_form(prod, tensor_connection(b1, b2, TRIVIAL, TRIVIAL))
+    with pytest.raises(OutsideDomainError):
+        beta12(ChartPoint([0.0, 0.0, 0.0, 0.0]))
 
 
 def test_cylinder_winding_branches():

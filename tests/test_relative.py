@@ -19,7 +19,6 @@ from chernforms.jets import jet_coordinates
 from chernforms.quillen import SuperConnectionData, ch_rel
 from chernforms.relative import (
     RelativeCochain,
-    SupportDescriptor,
     d_rel,
     integrate_compact,
     integrate_fiber,
@@ -36,7 +35,7 @@ RNG = np.random.default_rng(23)
 def _poly_cochain(m: int, degree: int) -> RelativeCochain:
     alpha = poly_form_field(RNG, m, degree)
     beta = poly_form_field(RNG, m, degree - 1)
-    return RelativeCochain(alpha, beta, SupportDescriptor.nowhere(m), degree=degree)
+    return RelativeCochain(alpha, beta)
 
 
 def test_d_rel_squares_to_zero():
@@ -47,11 +46,6 @@ def test_d_rel_squares_to_zero():
         (p,) = rand_points(RNG, m, 1)
         assert dd.alpha(p).max_abs() < DREL_TOL
         assert dd.beta(p).max_abs() < DREL_TOL
-
-
-def test_d_rel_degree_bookkeeping():
-    c = _poly_cochain(3, 2)
-    assert d_rel(c).degree == 3
 
 
 def test_p_chi_commutes_with_differentials():
@@ -107,8 +101,6 @@ def test_product_with_unit_cochain():
     unit = RelativeCochain(
         FormField(m, lambda p: FormValue.scalar(1.0, m)),
         FormField(m, lambda p: FormValue.zero(m)),
-        SupportDescriptor.nowhere(m),
-        degree=0,
     )
     from chernforms.exterior import partition_pair
     from chernforms.jets import jet_constant
@@ -135,9 +127,7 @@ def test_cutoff_representative_of_product():
 
     def closed_cochain(degree):
         beta = poly_form_field(RNG, m, degree - 1)
-        return RelativeCochain(
-            exterior_derivative(beta), beta, SupportDescriptor.nowhere(m), degree=degree
-        )
+        return RelativeCochain(exterior_derivative(beta), beta)
 
     c1 = closed_cochain(k1)
     c2 = closed_cochain(1)
@@ -175,15 +165,6 @@ def test_cutoff_representative_of_product():
         lhs = wedge(rep1(p), rep2(p)) - rep12(p)
         rhs = differentiate_value(correction(p))
         assert (lhs - rhs).max_abs() < 1e-9
-
-
-def test_support_descriptor_intersection():
-    s1 = SupportDescriptor(lambda p: p.coords[0] > 0, lambda p: 1.0)
-    s2 = SupportDescriptor(lambda p: p.coords[1] > 0, lambda p: 2.0)
-    s = s1.intersect(s2)
-    assert s.contains(ChartPoint([1.0, 1.0]))
-    assert not s.contains(ChartPoint([1.0, -1.0]))
-    assert s.clearance(ChartPoint([0.0, 0.0])) == 2.0
 
 
 def test_beta_raises_on_support():

@@ -20,7 +20,7 @@ from chernforms.exterior import (
     differentiate_value,
     wedge,
 )
-from chernforms.jets import jet_coordinates
+from chernforms.jets import jet_coordinates, jet_value
 from chernforms.quillen import ch_rel
 from chernforms.relative import d_rel, integrate_compact
 from chernforms.scenarios import sphere_bundle, torus_bundle
@@ -31,14 +31,12 @@ from chernforms.thom import (
     beta_wedge,
     c_wedge,
     clifford_curvature,
-    connection_lifted,
     epsilon_d,
     eta_wedge,
     euler_form,
     f_t_element,
     lift_to_total,
     log_s_coefficients,
-    riemann_roch_check,
     spin_connection,
     spin_morphism,
     thom_mq,
@@ -59,6 +57,13 @@ def _total_point(base_dim=2, rank=2, r_lo=0.4, r_hi=1.8) -> ChartPoint:
     fiber = RNG.normal(0, 1, rank)
     fiber *= RNG.uniform(r_lo, r_hi) / np.linalg.norm(fiber)
     return ChartPoint([*base, *fiber])
+
+
+def _lifted_connection(bundle: EuclideanBundle, p: ChartPoint) -> list[list[FormValue]]:
+    """The base connection matrix at p's base point, on the total chart."""
+    mb, d = bundle.base_dim, bundle.rank
+    w = bundle.connection(ChartPoint(p.coords[:mb]))
+    return [[lift_to_total(w[l][i], mb, d) for i in range(d)] for l in range(d)]
 
 
 def rank4_bundle() -> EuclideanBundle:
@@ -117,7 +122,7 @@ def test_covariant_flatness_of_the_gaussian_generator():
         for t in (0.0, 0.7, 1.3):
             p = ChartPoint(RNG.uniform(-1.1, 1.1, bundle.total_dim))
             elem = f_t_element(bundle, p, t)
-            w = connection_lifted(bundle, p)
+            w = _lifted_connection(bundle, p)
             xs = [
                 jet_coordinates(p.coords, order=1)[bundle.base_dim + i]
                 for i in range(bundle.rank)
@@ -146,6 +151,15 @@ def test_rank2_closed_form_displays():
         assert (eta_wedge(bundle, t)(p) - eta_disp).max_abs() < 1e-12
         beta_disp = cross * (0.5 / r2)
         assert (beta_wedge(bundle)(p) - beta_disp).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "form", [generator_form(2, 2, (1,)), FormValue(4, {(3,): 1.0})], ids=["generator", "4-chart"]
+)
+def test_lift_to_total_rejects_forms_off_the_base_chart(form):
+    """e_1 used to come back as dx_3, and a 4-chart form as if it lived on the base."""
+    with pytest.raises(ValueError, match="plain form on the 2-chart"):
+        lift_to_total(form, 2, 2)
 
 
 def test_eta_vanishes_at_t_zero():
@@ -180,25 +194,24 @@ def test_relative_pair_is_closed_and_real():
         p = _total_point()
         assert closed.alpha(p).max_abs() < 1e-10
         assert closed.beta(p).max_abs() < 1e-10
-        for coeff in pair.alpha(p).strip_jets().terms.values():
-            assert abs(complex(coeff).imag) < 1e-10
-        for coeff in thom_mq(bundle)(p).strip_jets().terms.values():
-            assert abs(complex(coeff).imag) < 1e-10
+        for coeff in pair.alpha(p).terms.values():
+            assert abs(jet_value(coeff).imag) < 1e-10
+        for coeff in thom_mq(bundle)(p).terms.values():
+            assert abs(jet_value(coeff).imag) < 1e-10
 
 
 def test_zero_section_support():
     bundle = torus_bundle(LAM)
-    support = zero_section(bundle)
-    assert support.contains(ChartPoint([0.3, 0.4, 0.0, 0.0]))
-    assert not support.contains(ChartPoint([0.3, 0.4, 0.5, 0.0]))
-    assert support.clearance(ChartPoint([0.0, 0.0, 0.3, 0.4])) > 0.4
+    on_zero_section = zero_section(bundle)
+    assert on_zero_section(ChartPoint([0.3, 0.4, 0.0, 0.0]))
+    assert not on_zero_section(ChartPoint([0.3, 0.4, 0.5, 0.0]))
 
 
 def test_primitive_routes_agree_rank4():
     """Closed-form coefficients against direct quadrature, rank 4."""
     bundle = rank4_bundle()
     closed = beta_wedge(bundle, method="closed")
-    quad = beta_wedge(bundle, method="quadrature", quad_order=96)
+    quad = beta_wedge(bundle, method="quadrature")
     for _ in range(4):
         p = _total_point(base_dim=4, rank=4, r_lo=0.5, r_hi=1.6)
         want = closed(p)
@@ -264,16 +277,6 @@ def test_spin_morphism_block():
     assert stack[0, 0, 0] == complex(0.5, -0.7)
 
 
-def test_riemann_roch_identities():
-    report = riemann_roch_check(
-        torus_bundle(LAM),
-        t_values=(0.0, 1.0, 2.0),
-        points=[_total_point() for _ in range(4)],
-    )
-    for key, err in report.items():
-        assert err < 1e-9, key
-
-
 def test_spin_character_scaling_of_the_relative_pair():
     """The spin-lift relative pair is (2i pi) A-hat^{-1} times the metric one."""
     bundle = torus_bundle(LAM)
@@ -286,7 +289,7 @@ def test_spin_character_scaling_of_the_relative_pair():
         want_alpha = wedge(lifted, metric_pair.alpha(p)) * (2j * np.pi)
         want_beta = wedge(lifted, metric_pair.beta(p)) * (2j * np.pi)
         assert (spin_pair.alpha(p) - want_alpha).max_abs() < 1e-9
-        assert (spin_pair.beta(p) - want_beta).max_abs() < 1e-8
+        assert (spin_pair.beta(p) - want_beta).max_abs() < 1e-9
 
 
 def test_euler_form_sphere_and_odd_rank():
@@ -335,7 +338,7 @@ def test_thom_alpha_is_the_lifted_euler_form():
                     assert np.array_equal(other.grad, coeff.grad)
                 # The same Pfaffian from the curvature of the lifted
                 # connection on the total chart.
-                w = connection_lifted(bundle, ChartPoint([*base, *RNG.normal(0, 1, d)]))
+                w = _lifted_connection(bundle, ChartPoint([*base, *RNG.normal(0, 1, d)]))
                 m = bundle.total_dim
                 l2 = FormValue.zero(m, d)
                 for i in range(d):
