@@ -1,8 +1,9 @@
-"""Quadrature and interpolation helpers shared across the package.
+"""Quadrature helpers shared across the package.
 
 Thin caching wrappers around numpy's Gauss-Legendre / Gauss-Hermite node
-generators, the tail cutoff of Gaussian-decaying t-integrals, and
-barycentric Chebyshev interpolation used to cache expensive integrands.
+generators, the tail cutoff of Gaussian-decaying t-integrals, and Chebyshev
+cumulative integration: the matrix taking values at Chebyshev nodes to the
+running integrals at the same nodes (its last row is the Clenshaw-Curtis rule).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ __all__ = [
     "gauss_hermite",
     "tail_cutoff",
     "chebyshev_nodes",
-    "barycentric_matrix",
+    "chebyshev_cumulative",
 ]
 
 TAIL_FLOOR = 4.0
@@ -59,24 +60,15 @@ def chebyshev_nodes(order: int, a: float, b: float) -> np.ndarray:
     return a + 0.5 * (b - a) * (x + 1.0)
 
 
-def barycentric_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Interpolation matrix from Chebyshev nodes to arbitrary targets.
+def chebyshev_cumulative(order: int, a: float, b: float) -> np.ndarray:
+    """Spectral integration matrix on ``chebyshev_nodes(order, a, b)``.
 
-    ``nodes`` must come from :func:`chebyshev_nodes`. Returns a matrix P with
-    P @ values_at_nodes == interpolated values_at_targets.
+    Returns Q with (Q @ f)_j = int_a^{x_j} p(x) dx, where p is the degree-order
+    interpolant of the values f at the nodes x. Q[-1] is the Clenshaw-Curtis
+    rule on [a, b] (Trefethen, SIAM Rev. 50, 2008).
     """
-    n = nodes.shape[0] - 1
-    weights = np.ones(n + 1)
-    weights[1::2] = -1.0
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    diff = targets[:, None] - nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff = np.where(exact, 1.0, diff)
-    ratios = weights[None, :] / diff
-    out = ratios / ratios.sum(axis=1, keepdims=True)
-    hit_rows = exact.any(axis=1)
-    if np.any(hit_rows):
-        out[hit_rows] = 0.0
-        out[np.where(hit_rows)[0], np.argmax(exact[hit_rows], axis=1)] = 1.0
-    return out
+    cheb = np.polynomial.chebyshev
+    x = chebyshev_nodes(order, -1.0, 1.0)
+    coeffs = np.linalg.solve(cheb.chebvander(x, order), np.eye(order + 1))
+    integrals = cheb.chebint(coeffs, lbnd=-1.0)
+    return 0.5 * (b - a) * (cheb.chebvander(x, order + 1) @ integrals)

@@ -15,7 +15,13 @@ chi Ch(A) + d chi ^ beta.
 
 Products of two morphisms combine through the graded tensor sum; the
 mismatch between beta of the product and the product of the relative
-cocycles is d of an explicit double transgression integral (b_forms).
+cocycles is d(B1 - B2), with the double transgression integrals (b_forms)
+
+    B1 = phi1 int_0^T eta1(s) ^ (int_0^s eta2) ds,
+    B2 = phi2 int_0^T (int_0^t eta1) ^ eta2(t) dt,
+
+computed by Chebyshev cumulative integration on the t-nodes where eta1 and
+eta2 are sampled.
 
 Every one of these forms (Ch, eta, beta, the finite transgression delta and
 the double integrals B1, B2) is read from one t-batched kernel,
@@ -33,7 +39,7 @@ import numpy as np
 
 from .exterior import ChartPoint, FormField, FormValue, as_point
 from .jets import jet_constant
-from .quadrature import barycentric_matrix, chebyshev_nodes, gauss_legendre, tail_cutoff
+from .quadrature import chebyshev_cumulative, chebyshev_nodes, gauss_legendre, tail_cutoff
 from .relative import RelativeCochain, p_chi
 from .superlinalg import (
     ParitySplit,
@@ -67,9 +73,8 @@ __all__ = [
 # orders double from 32 to at most 256 until two agree to BETA_QUAD_TOL.
 BETA_QUAD_TOL = 1e-10
 
-# Chebyshev cache used by the double-integral correction forms.
+# Chebyshev order of the t-nodes of the double-integral correction forms.
 BFORM_CHEB_ORDER = 72
-BFORM_GL_ORDER = 40
 
 
 @dataclass
@@ -405,9 +410,14 @@ def b_forms(
 ) -> tuple[FormField, FormField]:
     """The ordered double integrals of eta1 ^ eta2 against the partition.
 
-    B1 integrates over 0 <= t <= s (eta1 at the larger argument) weighted by
-    phi1; B2 over 0 <= s <= t weighted by phi2. Their difference is a
-    primitive of beta_12 - beta_diamond.
+        B1 = phi1 int_0^T eta1(s) ^ (int_0^s eta2) ds,
+        B2 = phi2 int_0^T (int_0^t eta1) ^ eta2(t) dt,
+
+    with T the tail cutoff of the smaller spectral gap. Their difference is a
+    primitive of beta_12 - beta_diamond. eta1 and eta2 are read only at the
+    BFORM_CHEB_ORDER + 1 Chebyshev nodes on [0, T]; the running integrals are
+    the cumulative-integration matrix applied to those values, and the outer
+    integral is its last row (Clenshaw-Curtis).
     """
     phi1, phi2 = phis
     m = b1.chart_dim
@@ -426,30 +436,13 @@ def b_forms(
         eta1_nodes = _character_slots(pc1, nodes, eta=True)
         eta2_nodes = _character_slots(pc2, nodes, eta=True)
 
-        s_nodes, s_w = gauss_legendre(BFORM_GL_ORDER, 0.0, t_hi)
-        u_nodes, u_w = gauss_legendre(BFORM_GL_ORDER, 0.0, 1.0)
-        inner = np.outer(s_nodes, u_nodes).reshape(-1)
-        weights = (np.outer(s_nodes * s_w, u_w)).reshape(-1)
-
-        p_outer = barycentric_matrix(nodes, s_nodes)
-        p_inner = barycentric_matrix(nodes, inner)
-
-        def interp(vals: dict, mat: np.ndarray) -> dict:
-            return {i: mat @ c for i, c in vals.items()}
-
-        def tile_outer(vals: dict) -> dict:
-            return {
-                i: np.repeat(c, BFORM_GL_ORDER, axis=0) for i, c in vals.items()
-            }
-
-        # B1: eta1(s) ^ eta2(s u), s in [0, t_hi], u in [0, 1], Jacobian s.
-        e1_outer = tile_outer(interp(eta1_nodes, p_outer))
-        e2_inner = interp(eta2_nodes, p_inner)
-        raw1 = _wedge_slot_arrays(e1_outer, e2_inner, weights, m)
-        # B2: eta1(t u) ^ eta2(t), t in [0, t_hi], u in [0, 1], Jacobian t.
-        e1_inner = interp(eta1_nodes, p_inner)
-        e2_outer = tile_outer(interp(eta2_nodes, p_outer))
-        raw2 = _wedge_slot_arrays(e1_inner, e2_outer, weights, m)
+        # Running integrals int_0^{t_j} eta at every node; the last row is
+        # the outer rule.
+        cum = chebyshev_cumulative(BFORM_CHEB_ORDER, 0.0, t_hi)
+        run1 = {i: cum @ c for i, c in eta1_nodes.items()}
+        run2 = {i: cum @ c for i, c in eta2_nodes.items()}
+        raw1 = _wedge_slot_arrays(eta1_nodes, run2, cum[-1], m)
+        raw2 = _wedge_slot_arrays(run1, eta2_nodes, cum[-1], m)
 
         w1 = phi1(p).coefficient(())
         w2 = phi2(p).coefficient(())

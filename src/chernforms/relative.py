@@ -196,7 +196,8 @@ def integrate_fiber(
     listed order of ``fiber_dims``.
 
     mode "compact" integrates over [-half_width, half_width]^d with
-    Gauss-Legendre; mode "gaussian" uses Gauss-Hermite weights for
+    Gauss-Legendre, and raises ValueError unless half_width is positive and
+    finite; mode "gaussian" uses Gauss-Hermite weights for
     integrands decaying like exp(-|x|^2) and covers the whole
     fiber; it raises ValueError for an order whose rescaled weights
     w e^{y^2} are not all finite and positive (above about order 370).
@@ -217,6 +218,8 @@ def integrate_fiber(
     if mode == "compact":
         if half_width is None:
             raise ValueError("compact mode needs half_width")
+        if not (np.isfinite(half_width) and half_width > 0.0):
+            raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
         x1, w1 = gauss_legendre(order, -half_width, half_width)
         axes = [(x1, w1)] * d
     elif mode == "gaussian":

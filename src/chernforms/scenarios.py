@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import cos, factorial, isfinite, pi, sin
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,9 +85,9 @@ class ScenarioConfig:
     ``quad_order`` overrides the per-check default order of the big
     compact-box and compact-fiber integrals only; the Gaussian and
     transgression quadratures keep their tuned defaults. ``tol_scale``
-    multiplies every tolerance (useful for exploring margins). A negative
-    seed, an order that is not a positive integer, or a scale that is not
-    positive and finite raises ValueError.
+    multiplies every tolerance (useful for exploring margins). A seed that
+    is not a non-negative integer, an order that is not a positive integer,
+    or a scale that is not a positive finite number raises ValueError.
     """
 
     seed: int = 0
@@ -94,14 +95,16 @@ class ScenarioConfig:
     quad_order: int | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.quad_order is not None and not (
-            isinstance(self.quad_order, (int, np.integer)) and self.quad_order > 0
+            isinstance(self.quad_order, Integral) and self.quad_order > 0
         ):
             raise ValueError(f"quad_order must be a positive integer, got {self.quad_order!r}")
-        if not (isfinite(self.tol_scale) and self.tol_scale > 0.0):
-            raise ValueError(f"tol_scale must be positive and finite, got {self.tol_scale!r}")
+        if not (
+            isinstance(self.tol_scale, Real) and isfinite(self.tol_scale) and self.tol_scale > 0.0
+        ):
+            raise ValueError(f"tol_scale must be a positive finite number, got {self.tol_scale!r}")
 
 
 class _Outcome(NamedTuple):

@@ -145,7 +145,16 @@ def test_cli_rejects_invalid_settings(tmp_path, monkeypatch, flags, env):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"seed": -1}, {"quad_order": 0}, {"quad_order": 2.5}, {"tol_scale": -1.0}, {"tol_scale": float("inf")}],
+    [
+        {"seed": -1},
+        {"quad_order": 0},
+        {"quad_order": 2.5},
+        {"tol_scale": -1.0},
+        {"tol_scale": float("inf")},
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"tol_scale": "2"},
+    ],
 )
 def test_scenario_config_rejects_invalid_settings(kwargs):
     with pytest.raises(ValueError):

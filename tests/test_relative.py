@@ -235,6 +235,20 @@ def test_integrate_fiber_rejects_unusable_gaussian_order():
     assert not evaluated
 
 
+@pytest.mark.parametrize("half_width", [0.0, -1.0, float("inf"), float("nan")])
+def test_integrate_fiber_rejects_unusable_half_width(half_width):
+    """A half-width of 0 used to return 0, and -1 the wrong sign for odd d: fail before any node."""
+    evaluated = []
+
+    def evaluate(p: ChartPoint) -> FormValue:
+        evaluated.append(p)
+        return FormValue(2, {(1, 2): 1.0})
+
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        integrate_fiber(FormField(2, evaluate), (1, 2), mode="compact", half_width=half_width)
+    assert not evaluated
+
+
 @pytest.mark.parametrize(
     "fiber, base", [((0, 2), [0.5]), ((1, 3), [0.5]), ((-1,), [0.5, 0.5])]
 )
