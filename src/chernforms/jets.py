@@ -70,10 +70,14 @@ class Jet:
         return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -complex(other))
+        if isinstance(other, Jet):
+            h = None if self.hess is None or other.hess is None else self.hess - other.hess
+            return Jet(self.value - other.value, self.grad - other.grad, h)
+        return Jet(self.value - complex(other), self.grad, self.hess)
 
     def __rsub__(self, other):
-        return (-self) + other
+        h = None if self.hess is None else -self.hess
+        return Jet(complex(other) - self.value, -self.grad, h)
 
     def __mul__(self, other):
         if isinstance(other, Jet):

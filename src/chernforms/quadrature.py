@@ -48,8 +48,8 @@ def tail_cutoff(h: float, t_lo: float) -> float:
     T0 = max(TAIL_FLOOR, TAIL_SCALE / sqrt(h), t_lo + 1), so h T0^2 >= TAIL_SCALE^2
     and the dropped tail is O(e^{-TAIL_SCALE^2}) of the local scale.
     """
-    if h <= 0.0:
-        raise ValueError("no Gaussian decay here (no spectral gap)")
+    if not h > 0.0:
+        raise ValueError(f"no Gaussian decay here (no spectral gap): h = {h!r}")
     return max(TAIL_FLOOR, TAIL_SCALE / np.sqrt(h), t_lo + 1.0)
 
 

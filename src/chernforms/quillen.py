@@ -218,6 +218,8 @@ def _integrate_eta(pieces, t_lo: float, t_hi: float) -> dict:
         for i in cur:
             ref = prev.get(i)
             d = np.abs(cur[i] - ref).max() if ref is not None else np.abs(cur[i]).max()
+            if not np.isfinite(d):
+                raise ValueError(f"eta quadrature on [{t_lo:g}, {t_hi:g}] is not finite")
             delta = max(delta, d)
         if delta < BETA_QUAD_TOL:
             return cur

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import sqrt
 from typing import Callable
@@ -175,28 +175,67 @@ def _half_curvature(w, d: int, m: int) -> FormValue:
     return out
 
 
-class _FrameData:
-    """Per-point frame quantities on the total chart.
+class _BaseFrame:
+    """Quantities of one base point, shared by every fiber point over it.
 
-    ``eta_e`` is sum_i eta_i e_i, so f_t = -t^2 |x|^2 + t eta_e + half_f.
+    ``w`` (lifted connection), ``half_f`` = (1/2) sum F[j,i] e_i e_j and, built on first
+    use, ``primitive_plan``: the closed primitive's (k, J, P_I, gamma) terms.
     """
 
-    __slots__ = ("bundle", "m", "d", "w", "eta", "eta_e", "half_f", "xs", "r2", "h")
+    def __init__(self, bundle: EuclideanBundle, base_coords):
+        mb, d = bundle.base_dim, bundle.rank
+        w_base = bundle.connection(ChartPoint(base_coords))
+        self.w = [[lift_to_total(w_base[l][i], mb, d) for i in range(d)] for l in range(d)]
+        self.half_f = _half_curvature(self.w, d, mb + d)
 
-    def __init__(self, bundle: EuclideanBundle, point, jet_order: int):
+    @cached_property
+    def primitive_plan(self) -> list[tuple[int, tuple[int, ...], FormValue, float]]:
+        pexp = wedge_exp(self.half_f)
+        all_idx = tuple(range(1, len(self.w) + 1))
+        plan = []
+        for k in all_idx:
+            rest = tuple(i for i in all_idx if i != k)
+            for jsize in range(len(all_idx)):
+                for sub_j in combinations(rest, jsize):
+                    sub_i = tuple(i for i in rest if i not in sub_j)
+                    p_i = generator_coefficient(pexp, sub_i)
+                    g = gamma_coefficient(k, sub_i, sub_j)
+                    if p_i.terms and g != 0.0:
+                        plan.append((k, sub_j, p_i, g))
+        return plan
+
+
+def _per_base_point(base_dim: int, build: Callable[[np.ndarray], object]):
+    """``p -> build(base coordinates of p)``, kept for the last base point only.
+
+    ``integrate_fiber`` visits all nodes over one base point in a row.
+    """
+    last = [None, None]
+
+    def at(p: ChartPoint):
+        key = p.coords[:base_dim].tobytes()
+        if last[0] != key:
+            last[:] = key, build(p.coords[:base_dim].copy())
+        return last[1]
+
+    return at
+
+
+class _FrameData:
+    """Per fiber point: ``xs``, r2 = |x|^2, eta_i = dx_i + sum_k x_k W[i,k] and
+    ``eta_e`` = sum_i eta_i e_i; f_t = -t^2 |x|^2 + t eta_e + base.half_f.
+    """
+
+    __slots__ = ("base", "m", "d", "eta", "eta_e", "xs", "r2", "h")
+
+    def __init__(self, bundle: EuclideanBundle, point, jet_order: int, base: _BaseFrame):
         if jet_order not in (0, 1):
             raise ValueError("frame jets are carried at order 0 or 1")
         p = as_point(point)
-        mb, d = bundle.base_dim, bundle.rank
-        m = mb + d
-        self.bundle = bundle
+        mb, d, m = bundle.base_dim, bundle.rank, bundle.total_dim
+        self.base = base
         self.m = m
         self.d = d
-        base_pt = ChartPoint(p.coords[:mb])
-        w_base = bundle.connection(base_pt)
-        self.w = [
-            [lift_to_total(w_base[l][i], mb, d) for i in range(d)] for l in range(d)
-        ]
         if jet_order == 0:
             fiber = [complex(x) for x in p.coords[mb:]]
             one = 1.0
@@ -213,18 +252,17 @@ class _FrameData:
         for i in range(d):
             e = FormValue(m, {(mb + i + 1,): one}, validate=False)
             for k in range(d):
-                e = e + self.w[i][k] * fiber[k]
+                e = e + base.w[i][k] * fiber[k]
             self.eta.append(e)
         self.eta_e = FormValue.zero(m, d)
         for i in range(d):
             self.eta_e = self.eta_e + wedge(self.eta[i], generator_form(m, d, (i + 1,)))
-        self.half_f = _half_curvature(self.w, d, m)
         r2v = self.r2.value if isinstance(self.r2, Jet) else self.r2
         self.h = float(np.real(r2v))
 
     def generator(self, t: float) -> FormValue:
         """t sum_i eta_i e_i + (1/2) F: f_t without its scalar part -t^2 |x|^2."""
-        return self.half_f + self.eta_e * t
+        return self.base.half_f + self.eta_e * t
 
     def f_exp(self, t: float) -> FormValue:
         return wedge_exp(self.generator(t), scalar_part=-(t * t) * self.r2)
@@ -252,24 +290,32 @@ def f_t_element(
     and the fiber contraction can act on the whole element;
     (covariant_wedge - 2t contraction(x)) annihilates it.
     """
-    frame = _FrameData(bundle, point, jet_order)
+    frame = _frames(bundle, jet_order)(as_point(point))
     return frame.generator(t) + FormValue.scalar(-(t * t) * frame.r2, frame.m, frame.d)
+
+
+def _frames(bundle: EuclideanBundle, jet_order: int) -> Callable[[ChartPoint], _FrameData]:
+    """``p -> _FrameData`` at p, reusing the _BaseFrame of the last base point."""
+    base_at = _per_base_point(bundle.base_dim, lambda base: _BaseFrame(bundle, base))
+    return lambda p: _FrameData(bundle, p, jet_order, base_at(p))
 
 
 def c_wedge(bundle: EuclideanBundle, t: float, jet_order: int = 0) -> FormField:
     """T(e^{f_t}), the unnormalized Gaussian-shaped representative."""
+    frame_at = _frames(bundle, jet_order)
     return FormField(
         bundle.total_dim,
-        lambda p: _FrameData(bundle, p, jet_order).c_value(t),
+        lambda p: frame_at(p).c_value(t),
         name=f"c_wedge(t={t})",
     )
 
 
 def eta_wedge(bundle: EuclideanBundle, t: float, jet_order: int = 0) -> FormField:
     """-T(x . e^{f_t}), the fiberwise transgression integrand."""
+    frame_at = _frames(bundle, jet_order)
     return FormField(
         bundle.total_dim,
-        lambda p: _FrameData(bundle, p, jet_order).eta_value(t),
+        lambda p: frame_at(p).eta_value(t),
         name=f"eta_wedge(t={t})",
     )
 
@@ -307,7 +353,6 @@ def gamma_coefficient(k: int, index_i: tuple[int, ...], index_j: tuple[int, ...]
 
 def _beta_closed(frame: _FrameData) -> FormValue:
     d, m = frame.d, frame.m
-    pexp = wedge_exp(frame.half_f)
     if isinstance(frame.r2, Jet):
         rinv = 1.0 / frame.r2.sqrt()
     else:
@@ -319,19 +364,9 @@ def _beta_closed(frame: _FrameData) -> FormValue:
         for sub in combinations(all_idx, size):
             eta_sub[sub] = wedge(eta_sub[sub[:-1]], frame.eta[sub[-1] - 1])
     total = FormValue.zero(m)
-    for k in all_idx:
-        rest = tuple(i for i in all_idx if i != k)
-        for jsize in range(0, d):
-            for sub_j in combinations(rest, jsize):
-                sub_i = tuple(i for i in rest if i not in sub_j)
-                p_i = generator_coefficient(pexp, sub_i)
-                if not p_i.terms:
-                    continue
-                g = gamma_coefficient(k, sub_i, sub_j)
-                if g == 0.0:
-                    continue
-                radial = frame.xs[k - 1] * rinv ** (jsize + 1)
-                total = total + wedge(eta_sub[sub_j], p_i) * (g * radial)
+    for k, sub_j, p_i, g in frame.base.primitive_plan:
+        radial = frame.xs[k - 1] * rinv ** (len(sub_j) + 1)
+        total = total + wedge(eta_sub[sub_j], p_i) * (g * radial)
     return total
 
 
@@ -349,11 +384,12 @@ def beta_wedge(
     """
     if method not in ("closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    frame_at = _frames(bundle, jet_order)
 
     def evaluate(p: ChartPoint) -> FormValue:
-        frame = _FrameData(bundle, p, jet_order)
-        if frame.h <= 0.0:
-            raise ValueError("on the zero section (no fiber decay)")
+        frame = frame_at(p)
+        if not frame.h > 0.0:
+            raise ValueError(f"beta_wedge needs |x|^2 > 0; got {frame.h!r}")
         if method == "closed":
             return _beta_closed(frame)
         t_hi = tail_cutoff(frame.h, 0.0)
@@ -381,11 +417,8 @@ def thom_rel(bundle: EuclideanBundle, jet_order: int = 0) -> RelativeCochain:
     scale = 1.0 / epsilon_d(bundle.rank)
     mb, d = bundle.base_dim, bundle.rank
     euler = euler_form(bundle)
-
-    def alpha_eval(p: ChartPoint) -> FormValue:
-        return lift_to_total(euler(ChartPoint(p.coords[:mb])), mb, d)
-
-    alpha = FormField(bundle.total_dim, alpha_eval, name="thom_alpha")
+    alpha_at = _per_base_point(mb, lambda base: lift_to_total(euler(base), mb, d))
+    alpha = FormField(bundle.total_dim, alpha_at, name="thom_alpha")
     raw = beta_wedge(bundle, method="closed", jet_order=jet_order)
     beta = FormField(
         bundle.total_dim,

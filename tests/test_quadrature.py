@@ -1,12 +1,13 @@
-"""Quadrature helpers: Chebyshev cumulative integration."""
+"""Quadrature helpers: Chebyshev cumulative integration and the tail cutoff."""
 
 from __future__ import annotations
 
 from math import erf, pi, sqrt
 
 import numpy as np
+import pytest
 
-from chernforms.quadrature import chebyshev_cumulative, chebyshev_nodes
+from chernforms.quadrature import chebyshev_cumulative, chebyshev_nodes, tail_cutoff
 
 
 def test_chebyshev_cumulative_integrates_monomials_exactly():
@@ -27,3 +28,10 @@ def test_chebyshev_cumulative_last_row_is_a_quadrature_rule():
     x = chebyshev_nodes(order, a, b)
     want = sqrt(pi) / 4.0 * (erf(2.0 * b) - erf(2.0 * a))
     assert abs(weights @ np.exp(-4.0 * x * x) - want) < 1e-13
+
+
+@pytest.mark.parametrize("h", [float("nan"), 0.0, -1.0])
+def test_tail_cutoff_rejects_no_decay(h):
+    """A NaN rate used to fall through to the 4.0 floor."""
+    with pytest.raises(ValueError, match="no Gaussian decay"):
+        tail_cutoff(h, 0.0)

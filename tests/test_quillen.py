@@ -299,3 +299,10 @@ def test_eta_quadrature_that_cannot_converge_raises():
     delta = delta_form(bott_morphism(), TRIVIAL, 1000.0)
     with pytest.raises(RuntimeError, match="did not converge"):
         delta(ChartPoint([1.0, 0.5]))
+
+
+def test_eta_quadrature_with_a_nan_step_raises():
+    """max() drops a NaN step size, so a NaN point used to count as converged."""
+    delta = delta_form(bott_morphism(), TRIVIAL, 2.0)
+    with pytest.raises(ValueError, match="not finite"):
+        delta(ChartPoint([np.nan, 0.5]))

@@ -18,11 +18,12 @@ from chernforms.exterior import (
     FormValue,
     curvature_entry,
     differentiate_value,
+    smooth_cutoff,
     wedge,
 )
-from chernforms.jets import jet_coordinates, jet_value
+from chernforms.jets import Jet, jet_coordinates, jet_value
 from chernforms.quillen import ch_rel
-from chernforms.relative import d_rel, integrate_compact
+from chernforms.relative import d_rel, integrate_compact, integrate_fiber
 from chernforms.scenarios import sphere_bundle, torus_bundle
 from chernforms.thom import (
     EuclideanBundle,
@@ -39,6 +40,7 @@ from chernforms.thom import (
     log_s_coefficients,
     spin_connection,
     spin_morphism,
+    thom_c,
     thom_mq,
     thom_rel,
     zero_section,
@@ -348,3 +350,72 @@ def test_thom_alpha_is_the_lifted_euler_form():
                 lifted = pfaffian(l2) * (1.0 / epsilon_d(d))
                 for index, coeff in lifted.terms.items():
                     assert coeff.value == got.value(index)
+
+
+def test_beta_wedge_rejects_a_nan_fiber_point():
+    """NaN passes the zero-section domain check; the closed form must not take it."""
+    beta = beta_wedge(torus_bundle(LAM))
+    with pytest.raises(ValueError, match=r"needs \|x\|\^2 > 0; got nan"):
+        beta(ChartPoint([0.3, 0.4, np.nan, 0.5]))
+
+
+def _bits(fv: FormValue) -> dict:
+    """Every bit of a form value's coefficients, signed zeros included."""
+    out = {}
+    for index, c in fv.terms.items():
+        if isinstance(c, Jet):
+            hess = None if c.hess is None else c.hess.tobytes()
+            out[index] = (np.complex128(c.value).tobytes(), c.grad.tobytes(), hess)
+        else:
+            out[index] = (type(c), np.complex128(c).tobytes())
+    return out
+
+
+THOM_FIELDS = {
+    "thom_c": lambda b: thom_c(b, smooth_cutoff(4, 0.1225, 4.41, dims=(3, 4))),
+    "thom_mq": lambda b: thom_mq(b, 0.8),
+    "beta_wedge": lambda b: beta_wedge(b),
+    "beta_wedge_jets": lambda b: beta_wedge(b, jet_order=1),
+    "eta_wedge": lambda b: eta_wedge(b, 0.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THOM_FIELDS))
+def test_base_point_memo_never_serves_a_stale_base(name):
+    """Base A, then B, then A again: each value equals a fresh field's, bit for bit."""
+    build = THOM_FIELDS[name]
+    bundle = torus_bundle(LAM)
+    field = build(bundle)
+    fibers = ([0.7, -0.4], [-1.1, 0.2])
+    for base in ([0.4, -1.1], [-2.0, 0.9], [0.4, -1.1]):
+        for fiber in fibers:
+            p = ChartPoint([*base, *fiber])
+            assert _bits(field(p)) == _bits(build(bundle)(p))
+
+
+def _counting_connection(bundle: EuclideanBundle):
+    calls = [0]
+
+    def connection(p):
+        calls[0] += 1
+        return bundle.connection(p)
+
+    return EuclideanBundle(bundle.rank, bundle.base_dim, connection), calls
+
+
+@pytest.mark.parametrize("mode", ["compact", "gaussian"])
+def test_connection_reads_do_not_grow_with_the_fiber_rule(mode):
+    """Base-only quantities (W, F, the Euler form) do not grow with the fiber rule."""
+    counts = []
+    for order in (4, 8):
+        bundle, calls = _counting_connection(torus_bundle(LAM))
+        if mode == "compact":
+            field = thom_c(bundle, smooth_cutoff(4, 0.1225, 4.41, dims=(3, 4)))
+            options = {"half_width": 2.2}
+        else:
+            field = thom_mq(bundle)
+            options = {}
+        for base in ([0.4, -1.1], [-2.0, 0.9]):
+            integrate_fiber(field, (3, 4), mode=mode, base_point=base, order=order, **options)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 2 * 2
