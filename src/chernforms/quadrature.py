@@ -1,9 +1,13 @@
 """Quadrature helpers shared across the package.
 
 Thin caching wrappers around numpy's Gauss-Legendre / Gauss-Hermite node
-generators, the tail cutoff of Gaussian-decaying t-integrals, and Chebyshev
-cumulative integration: the matrix taking values at Chebyshev nodes to the
-running integrals at the same nodes (its last row is the Clenshaw-Curtis rule).
+generators; the half-line rule that integrates e^{-h t^2} times a polynomial
+of bounded degree exactly (Gauss-Hermite for the even part, Gauss-Laguerre in
+u = t^2 for the odd part; Golub and Welsch, Math. Comp. 23, 1969), its unit
+nodes cached per degree; the tail cutoff of Gaussian-decaying t-integrals; and
+Chebyshev cumulative integration: the matrix taking values at Chebyshev nodes
+to the running integrals at the same nodes (its last row is the Clenshaw-Curtis
+rule).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 __all__ = [
     "gauss_legendre",
     "gauss_hermite",
+    "half_gaussian_rule",
     "tail_cutoff",
     "chebyshev_nodes",
     "chebyshev_cumulative",
@@ -40,6 +45,41 @@ def gauss_legendre(order: int, a: float, b: float):
     x, w = _leggauss(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+@lru_cache(maxsize=32)
+def _half_gaussian_unit(degree: int):
+    """``half_gaussian_rule(degree, 1.0)``: Hermite nodes, then Laguerre pairs."""
+    x, w = gauss_hermite(degree // 2 + 1)
+    nodes, weights = [x], [0.5 * w * np.exp(x * x)]
+    n_odd = (degree - 1) // 4 + 1
+    if n_odd:
+        y, om = np.polynomial.laguerre.laggauss(n_odd)
+        s = np.sqrt(y)
+        wl = om * np.exp(y) / (4.0 * s)
+        nodes += [s, -s]
+        weights += [wl, -wl]
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def half_gaussian_rule(degree: int, h: float):
+    """Nodes t and weights w with sum_k w_k f(t_k) = int_0^inf f(t) dt exactly
+    for f(t) = e^{-h t^2} q(t), q any polynomial of degree <= ``degree``.
+
+    The weights carry the factor e^{h t^2}, so the rule is applied to f
+    itself. Even part of q: Gauss-Hermite nodes x/sqrt(h), weights
+    w e^{x^2} / (2 sqrt(h)), floor(degree/2) + 1 of them. Odd part, by u = t^2:
+    Gauss-Laguerre at t = +-sqrt(y/h), weights +-om e^y / (4 h sqrt(y/h)),
+    floor((degree-1)/4) + 1 pairs. Each family cancels the other's part of q
+    by symmetry.
+    """
+    if not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"polynomial degree must be a non-negative integer; got {degree!r}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"no Gaussian decay here (no spectral gap): h = {h!r}")
+    t, w = _half_gaussian_unit(degree)
+    scale = 1.0 / np.sqrt(h)
+    return t * scale, w * scale
 
 
 def tail_cutoff(h: float, t_lo: float) -> float:

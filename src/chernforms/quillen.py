@@ -9,6 +9,11 @@ drives the scaled curvature
 
 whose exponential yields the character form Ch = Str e^F, the transgression
 eta = -Str(i v e^F), and the off-support primitive beta = int_t^inf eta.
+Every morphism built here has v^2 = h I in the value slot, so
+eta(t) = e^{-h t^2} q(t) with q a polynomial in t, and beta is an exact
+Gauss rule (Hermite for the even part of q, Laguerre for the odd part) at a
+handful of t-nodes; the finite transgression delta = int_0^T eta uses
+order-doubling Gauss-Legendre.
 The pair (Ch(A), beta) is a relative cocycle; a cutoff chi that is 1 near
 the support turns it into the compactly supported representative
 chi Ch(A) + d chi ^ beta.
@@ -39,7 +44,13 @@ import numpy as np
 
 from .exterior import ChartPoint, FormField, FormValue, as_point
 from .jets import jet_constant
-from .quadrature import chebyshev_cumulative, chebyshev_nodes, gauss_legendre, tail_cutoff
+from .quadrature import (
+    chebyshev_cumulative,
+    chebyshev_nodes,
+    gauss_legendre,
+    half_gaussian_rule,
+    tail_cutoff,
+)
 from .relative import RelativeCochain, p_chi
 from .superlinalg import (
     ParitySplit,
@@ -69,9 +80,14 @@ __all__ = [
     "b_forms",
 ]
 
-# The beta tail is integrated on [t_lo, tail_cutoff(h, t_lo)]; Gauss-Legendre
-# orders double from 32 to at most 256 until two agree to BETA_QUAD_TOL.
+# The finite transgression delta on [0, T] (delta_form, and the [0, t_lo]
+# part of beta_form): Gauss-Legendre orders double from 32 to at most 256
+# until two agree to BETA_QUAD_TOL.
 BETA_QUAD_TOL = 1e-10
+
+# beta_form's exact rule needs v^2 = h I in the value slot; entries may miss
+# h I by this much relative to h (round-off).
+SCALAR_V2_TOL = 1e-12
 
 # Chebyshev order of the t-nodes of the double-integral correction forms.
 BFORM_CHEB_ORDER = 72
@@ -202,18 +218,18 @@ def eta_form(
     return _single_t_field(b, a, t, jet_order, True, f"eta(t={t})")
 
 
-def _quad_eta(pieces, t_lo: float, t_hi: float, order: int) -> dict:
-    ts, ws = gauss_legendre(order, t_lo, t_hi)
+def _eta_rule(pieces, ts: np.ndarray, ws: np.ndarray) -> dict:
+    """sum_k ws[k] eta(ts[k]) as arrays {index -> slots}, from one t-batch."""
     vals = _character_slots(pieces, ts, eta=True)
     return {i: np.tensordot(ws, arr, axes=(0, 0)) for i, arr in vals.items()}
 
 
 def _integrate_eta(pieces, t_lo: float, t_hi: float) -> dict:
     order = 32
-    prev = _quad_eta(pieces, t_lo, t_hi, order)
+    prev = _eta_rule(pieces, *gauss_legendre(order, t_lo, t_hi))
     while order < 256:
         order *= 2
-        cur = _quad_eta(pieces, t_lo, t_hi, order)
+        cur = _eta_rule(pieces, *gauss_legendre(order, t_lo, t_hi))
         delta = 0.0
         for i in cur:
             ref = prev.get(i)
@@ -238,16 +254,38 @@ def beta_form(
 ) -> FormField:
     """The primitive beta = int_{t_lo}^inf eta dt, defined off the support.
 
-    The integrand decays like e^{-h t^2} with h the smallest eigenvalue of
-    v^2 at the point, so the quadrature stops at T0 = max(4, 8/sqrt(h));
-    the dropped tail is below the 1e-10 doubling tolerance.
+    Where v^2 = h I in the value slot, F(t) = -t^2 h + N(t) with N nilpotent:
+    its form part has degree <= m and t-degree 1 per form degree, its jet
+    part (the derivatives of v^2) enters with t^2 at most ``jet_order``
+    times. So eta(t) = e^{-h t^2} q(t) with deg q <= D = m + 2 jet_order,
+    and ``half_gaussian_rule(D, h)`` integrates it over [0, inf) exactly, at
+    floor(D/2) + 1 + 2 (floor((D-1)/4) + 1) t-nodes in one batch (four for
+    the plane at jet order 0). For t_lo != 0 the finite transgression
+    int_0^{t_lo} eta is subtracted.
+
+    Raises ValueError where h is not positive and finite (no Gaussian decay,
+    or a NaN point) and where the value slot of v^2 is not h I to relative
+    SCALAR_V2_TOL; both before any exponential is taken.
     """
     m = b.chart_dim
+    degree = m + 2 * jet_order
 
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
-        t_hi = tail_cutoff(pieces.h, t_lo)
-        return slots_form(_integrate_eta(pieces, t_lo, t_hi), m)
+        v2 = pieces.v2.component(())[0]
+        h = float(np.real(np.trace(v2))) / len(v2)
+        ts, ws = half_gaussian_rule(degree, h)
+        off = np.abs(v2 - h * np.eye(len(v2))).max()
+        if not off <= SCALAR_V2_TOL * h:
+            raise ValueError(
+                f"v^2 is not h I at this point: its value slot is {off:.3g} away "
+                f"from h I with h = {h:.6g}"
+            )
+        beta = _eta_rule(pieces, ts, ws)
+        if t_lo != 0.0:
+            for i, c in _integrate_eta(pieces, 0.0, t_lo).items():
+                beta[i] = beta[i] - c if i in beta else -c
+        return slots_form(beta, m)
 
     return FormField(
         m,

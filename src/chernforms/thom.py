@@ -352,21 +352,25 @@ def gamma_coefficient(k: int, index_i: tuple[int, ...], index_j: tuple[int, ...]
 
 
 def _beta_closed(frame: _FrameData) -> FormValue:
-    d, m = frame.d, frame.m
+    m = frame.m
     if isinstance(frame.r2, Jet):
         rinv = 1.0 / frame.r2.sqrt()
     else:
         rinv = 1.0 / sqrt(float(np.real(frame.r2)))
-    # Wedge products eta_J for every subset, built up by last element.
+    # eta_J only along the prefixes of the plan's J; a single index is eta_j.
     eta_sub: dict[tuple[int, ...], FormValue] = {(): FormValue.scalar(1.0, m)}
-    all_idx = tuple(range(1, d + 1))
-    for size in range(1, d + 1):
-        for sub in combinations(all_idx, size):
-            eta_sub[sub] = wedge(eta_sub[sub[:-1]], frame.eta[sub[-1] - 1])
+
+    def eta_product(sub: tuple[int, ...]) -> FormValue:
+        if len(sub) == 1:
+            return frame.eta[sub[0] - 1]
+        if sub not in eta_sub:
+            eta_sub[sub] = wedge(eta_product(sub[:-1]), frame.eta[sub[-1] - 1])
+        return eta_sub[sub]
+
     total = FormValue.zero(m)
     for k, sub_j, p_i, g in frame.base.primitive_plan:
         radial = frame.xs[k - 1] * rinv ** (len(sub_j) + 1)
-        total = total + wedge(eta_sub[sub_j], p_i) * (g * radial)
+        total = total + wedge(eta_product(sub_j), p_i) * (g * radial)
     return total
 
 

@@ -64,8 +64,7 @@ def test_version_matches_pyproject():
     assert declared and declared.group(1) == chernforms.__version__
 
 
-def test_traced_spans_resolve():
-    """perfbench/tracing.py wraps (owner, attribute) pairs by name."""
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("_tracing_under_test", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     write_bytecode = sys.dont_write_bytecode
@@ -74,7 +73,25 @@ def test_traced_spans_resolve():
         spec.loader.exec_module(tracing)
     finally:
         sys.dont_write_bytecode = write_bytecode
+    return tracing
+
+
+def test_traced_spans_resolve():
+    """perfbench/tracing.py wraps (owner, attribute) pairs by name."""
+    tracing = _load_tracing()
     missing = [
         name for name, (owner, attr) in tracing.SPANS.items() if not hasattr(owner, attr)
     ]
     assert not missing, f"traced spans with no function behind them: {missing}"
+
+
+def test_traced_counters_resolve():
+    """Besides SPANS, traced() rebinds quillen.gauss_legendre (the eta_rounds
+    counter) and jets.Jet.__mul__ / __rmul__ by name."""
+    tracing = _load_tracing()
+    for owner, attr in (
+        (tracing.quillen, "gauss_legendre"),
+        (tracing.jets.Jet, "__mul__"),
+        (tracing.jets.Jet, "__rmul__"),
+    ):
+        assert hasattr(owner, attr), f"traced counter {owner.__name__}.{attr} is gone"

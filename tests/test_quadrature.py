@@ -1,13 +1,19 @@
-"""Quadrature helpers: Chebyshev cumulative integration and the tail cutoff."""
+"""Quadrature helpers: Chebyshev cumulative integration, the exact half-line
+Gaussian rule and the tail cutoff."""
 
 from __future__ import annotations
 
-from math import erf, pi, sqrt
+from math import erf, gamma, pi, sqrt
 
 import numpy as np
 import pytest
 
-from chernforms.quadrature import chebyshev_cumulative, chebyshev_nodes, tail_cutoff
+from chernforms.quadrature import (
+    chebyshev_cumulative,
+    chebyshev_nodes,
+    half_gaussian_rule,
+    tail_cutoff,
+)
 
 
 def test_chebyshev_cumulative_integrates_monomials_exactly():
@@ -35,3 +41,27 @@ def test_tail_cutoff_rejects_no_decay(h):
     """A NaN rate used to fall through to the 4.0 floor."""
     with pytest.raises(ValueError, match="no Gaussian decay"):
         tail_cutoff(h, 0.0)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1.0, 50.0])
+@pytest.mark.parametrize("degree", range(7))
+def test_half_gaussian_rule_integrates_every_monomial(degree, h):
+    """int_0^inf t^k e^{-h t^2} dt = Gamma((k+1)/2) h^{-(k+1)/2} / 2 for k <= degree."""
+    t, w = half_gaussian_rule(degree, h)
+    assert np.isfinite(t).all() and np.isfinite(w).all()
+    assert len(t) == degree // 2 + 1 + 2 * ((degree - 1) // 4 + 1)
+    for k in range(degree + 1):
+        want = 0.5 * gamma((k + 1) / 2) * h ** (-(k + 1) / 2)
+        assert abs(w @ (t**k * np.exp(-h * t * t)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+def test_half_gaussian_rule_rejects_no_decay(h):
+    with pytest.raises(ValueError, match="no Gaussian decay"):
+        half_gaussian_rule(2, h)
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0])
+def test_half_gaussian_rule_rejects_a_bad_degree(degree):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        half_gaussian_rule(degree, 1.0)

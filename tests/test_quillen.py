@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chernforms import quillen
 from chernforms.exterior import (
     ChartPoint,
     FormField,
@@ -15,9 +16,14 @@ from chernforms.exterior import (
     smooth_cutoff,
     wedge,
 )
+from chernforms.quadrature import half_gaussian_rule, tail_cutoff
 from chernforms.quillen import (
+    MorphismBundle,
     SuperConnectionData,
+    _CurvaturePieces,
     _embed_factor,
+    _eta_rule,
+    _integrate_eta,
     _tensor_layout,
     b_forms,
     beta_form,
@@ -34,8 +40,10 @@ from chernforms.scenarios import (
     cylinder_morphism,
     plane_factor,
     radial_selector,
+    torus_bundle,
 )
-from chernforms.superlinalg import ParitySplit, SuperMatrixForm, jet_slots
+from chernforms.superlinalg import ParitySplit, SuperMatrixForm, jet_slots, slots_form
+from chernforms.thom import spin_connection, spin_morphism
 
 FROZEN_TOL = 1e-10
 TRANSGRESSION_FD_TOL = 1e-6
@@ -306,3 +314,110 @@ def test_eta_quadrature_with_a_nan_step_raises():
     delta = delta_form(bott_morphism(), TRIVIAL, 2.0)
     with pytest.raises(ValueError, match="not finite"):
         delta(ChartPoint([np.nan, 0.5]))
+
+
+# -- beta by the exact half-line rule ----------------------------------------
+
+# Agreement of the exact rule with the order-doubling Gauss-Legendre route,
+# whose own convergence tolerance is BETA_QUAD_TOL = 1e-10.
+BETA_RULE_TOL = 1e-10
+# The rule at a higher degree bound integrates the same polynomial exactly.
+BETA_RULE_ROUNDOFF = 1e-13
+RULE_POINTS = 20
+RULE_CASES = ("bott", "cylinder", "c2-product", "spin")
+
+
+def _rule_cases():
+    """(morphism, connection, seeded point sampler) for every morphism family.
+
+    The spin morphism carries the spin connection, so Y = d omega + omega^2
+    is not zero there.
+    """
+    b1, b2 = plane_factor(1), plane_factor(2)
+    torus = torus_bundle(0.3)
+
+    def disk(rng):
+        r, ph = rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi)
+        return [r * np.cos(ph), r * np.sin(ph)]
+
+    def cylinder(rng):
+        return [rng.uniform(0.3, 2 * np.pi - 0.3), rng.uniform(-0.6, 1.6)]
+
+    def c2(rng):
+        r, ph = rng.uniform(0.5, 1.6, 2), rng.uniform(0, 2 * np.pi, 2)
+        return [*(r[0] * np.array([np.cos(ph[0]), np.sin(ph[0])])),
+                *(r[1] * np.array([np.cos(ph[1]), np.sin(ph[1])]))]
+
+    def total(rng):
+        return [*rng.uniform(-np.pi + 0.3, np.pi - 0.3, 2), *disk(rng)]
+
+    return {
+        "bott": (bott_morphism(), TRIVIAL, disk),
+        "cylinder": (cylinder_morphism(), TRIVIAL, cylinder),
+        "c2-product": (tensor_morphism(b1, b2), tensor_connection(b1, b2, TRIVIAL, TRIVIAL), c2),
+        "spin": (spin_morphism(torus), spin_connection(torus), total),
+    }
+
+
+def _doubling_beta(b, a, p, t_lo, jet_order) -> FormValue:
+    """int_{t_lo}^{T0} eta by order-doubling Gauss-Legendre (T0 the tail cutoff)."""
+    pieces = _CurvaturePieces(b, a, p, jet_order)
+    if t_lo == 0.0:
+        return delta_form(b, a, tail_cutoff(pieces.h, 0.0), jet_order)(p)
+    return slots_form(_integrate_eta(pieces, t_lo, tail_cutoff(pieces.h, t_lo)), b.chart_dim)
+
+
+def _rule_beta(b, a, p, jet_order, degree) -> FormValue:
+    """int_0^inf eta by the half-line rule at an explicit degree bound."""
+    pieces = _CurvaturePieces(b, a, p, jet_order)
+    h = float(np.real(pieces.v2.component(())[0, 0, 0]))
+    return slots_form(_eta_rule(pieces, *half_gaussian_rule(degree, h)), b.chart_dim)
+
+
+@pytest.mark.parametrize("jet_order", [0, 1])
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_beta_rule_matches_doubling_quadrature(name, jet_order):
+    """beta_form (one batch at the exact Gauss nodes) against the doubling
+    Gauss-Legendre route on [t_lo, T0], at t_lo = 0 and 1 alternately; and
+    against the rule at degree bound D + 4, which a too-low D misses (the
+    plane at jet order 0 fails with D - 2)."""
+    b, a, sample = _rule_cases()[name]
+    rng = np.random.default_rng([17, jet_order, RULE_CASES.index(name)])
+    degree = b.chart_dim + 2 * jet_order
+    beta = {t_lo: beta_form(b, a, t_lo=t_lo, jet_order=jet_order) for t_lo in (0.0, 1.0)}
+    for n in range(RULE_POINTS):
+        p = ChartPoint(sample(rng))
+        t_lo = float(n % 2)
+        got = beta[t_lo](p)
+        assert (got - _doubling_beta(b, a, p, t_lo, jet_order)).max_abs() < BETA_RULE_TOL
+        if t_lo == 0.0:
+            wider = _rule_beta(b, a, p, jet_order, degree + 4)
+            assert (got - wider).max_abs() < BETA_RULE_ROUNDOFF * max(1.0, wider.max_abs())
+
+
+def test_beta_at_a_nan_point_raises():
+    """No tail cutoff is taken on the exact-rule path; h = NaN must still raise."""
+    beta = beta_form(bott_morphism(), TRIVIAL)
+    with pytest.raises(ValueError, match="no Gaussian decay"):
+        beta(ChartPoint([np.nan, 0.5]))
+
+
+def test_beta_needs_a_scalar_v_squared(monkeypatch):
+    """sigma = diag(z, 2z) has v^2 = diag(r^2, 4 r^2, ...): no single Gaussian rate."""
+
+    def sigma(p):
+        z = complex(*p.coords)
+        out = np.zeros((7, 2, 2), dtype=complex)
+        out[0] = np.diag([z, 2 * z])
+        out[1] = np.diag([1.0, 2.0])
+        out[2] = np.diag([1j, 2j])
+        return out
+
+    b = MorphismBundle(ParitySplit(2, 2), 2, sigma, lambda p: not np.any(p.coords))
+
+    def no_exponential(*args, **kwargs):
+        raise AssertionError("graded_exp called before the v^2 check")
+
+    monkeypatch.setattr(quillen, "graded_exp", no_exponential)
+    with pytest.raises(ValueError, match="v\\^2 is not h I"):
+        beta_form(b, TRIVIAL)(ChartPoint([0.8, -0.3]))
