@@ -1,13 +1,10 @@
 """Quadrature helpers shared across the package.
 
 Thin caching wrappers around numpy's Gauss-Legendre / Gauss-Hermite node
-generators; the half-line rule that integrates e^{-h t^2} times a polynomial
-of bounded degree exactly (Gauss-Hermite for the even part, Gauss-Laguerre in
-u = t^2 for the odd part; Golub and Welsch, Math. Comp. 23, 1969), its unit
-nodes cached per degree; the tail cutoff of Gaussian-decaying t-integrals; and
-Chebyshev cumulative integration: the matrix taking values at Chebyshev nodes
-to the running integrals at the same nodes (its last row is the Clenshaw-Curtis
-rule).
+generators; the tail rule that integrates e^{-h t^2} times an odd polynomial
+of bounded degree over [a, inf) exactly, by Gauss-Laguerre in v = t^2 - a^2
+(Golub and Welsch, Math. Comp. 23, 1969), its unit nodes cached per node
+count; and the tail cutoff of Gaussian-decaying t-integrals.
 """
 
 from __future__ import annotations
@@ -19,10 +16,8 @@ import numpy as np
 __all__ = [
     "gauss_legendre",
     "gauss_hermite",
-    "half_gaussian_rule",
+    "odd_gaussian_rule",
     "tail_cutoff",
-    "chebyshev_nodes",
-    "chebyshev_cumulative",
 ]
 
 TAIL_FLOOR = 4.0
@@ -48,38 +43,37 @@ def gauss_legendre(order: int, a: float, b: float):
 
 
 @lru_cache(maxsize=32)
-def _half_gaussian_unit(degree: int):
-    """``half_gaussian_rule(degree, 1.0)``: Hermite nodes, then Laguerre pairs."""
-    x, w = gauss_hermite(degree // 2 + 1)
-    nodes, weights = [x], [0.5 * w * np.exp(x * x)]
-    n_odd = (degree - 1) // 4 + 1
-    if n_odd:
-        y, om = np.polynomial.laguerre.laggauss(n_odd)
-        s = np.sqrt(y)
-        wl = om * np.exp(y) / (4.0 * s)
-        nodes += [s, -s]
-        weights += [wl, -wl]
-    return np.concatenate(nodes), np.concatenate(weights)
+def _laguerre_unit(n: int):
+    """Gauss-Laguerre nodes y and weights om e^y (the weight e^{-y} divided out)."""
+    if n == 0:
+        return np.zeros(0), np.zeros(0)
+    y, om = np.polynomial.laguerre.laggauss(n)
+    return y, om * np.exp(y)
 
 
-def half_gaussian_rule(degree: int, h: float):
-    """Nodes t and weights w with sum_k w_k f(t_k) = int_0^inf f(t) dt exactly
-    for f(t) = e^{-h t^2} q(t), q any polynomial of degree <= ``degree``.
+def odd_gaussian_rule(degree: int, h: float, t_from=0.0):
+    """Nodes s and weights w with sum_k w_k f(s_k) = int_a^inf f(t) dt exactly
+    for f(t) = e^{-h t^2} q(t), q any odd polynomial of degree <= ``degree``,
+    and a = ``t_from``.
 
-    The weights carry the factor e^{h t^2}, so the rule is applied to f
-    itself. Even part of q: Gauss-Hermite nodes x/sqrt(h), weights
-    w e^{x^2} / (2 sqrt(h)), floor(degree/2) + 1 of them. Odd part, by u = t^2:
-    Gauss-Laguerre at t = +-sqrt(y/h), weights +-om e^y / (4 h sqrt(y/h)),
-    floor((degree-1)/4) + 1 pairs. Each family cancels the other's part of q
-    by symmetry.
+    With q(t) = t r(t^2) and t^2 = a^2 + v the integral is
+    (1/2) e^{-h a^2} int_0^inf e^{-h v} r(a^2 + v) dv, which Gauss-Laguerre in
+    y = h v integrates exactly at floor((degree-1)/4) + 1 nodes: s =
+    sqrt(a^2 + y/h), weights om e^y / (2 h s). The weights carry the factor
+    e^{h s^2 - h a^2}, so the rule is applied to f itself. Since f is odd,
+    a negative a gives the same integral as |a|. ``t_from`` broadcasts: nodes
+    and weights have shape t_from.shape + (n,).
     """
     if not isinstance(degree, int) or degree < 0:
         raise ValueError(f"polynomial degree must be a non-negative integer; got {degree!r}")
     if not 0.0 < h < np.inf:
         raise ValueError(f"no Gaussian decay here (no spectral gap): h = {h!r}")
-    t, w = _half_gaussian_unit(degree)
-    scale = 1.0 / np.sqrt(h)
-    return t * scale, w * scale
+    a = np.asarray(t_from, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"the lower limit of a tail integral must be finite; got {t_from!r}")
+    y, w = _laguerre_unit((degree - 1) // 4 + 1)
+    s = np.sqrt(a[..., None] ** 2 + y / h)
+    return s, w / (2.0 * h * s)
 
 
 def tail_cutoff(h: float, t_lo: float) -> float:
@@ -91,24 +85,3 @@ def tail_cutoff(h: float, t_lo: float) -> float:
     if not h > 0.0:
         raise ValueError(f"no Gaussian decay here (no spectral gap): h = {h!r}")
     return max(TAIL_FLOOR, TAIL_SCALE / np.sqrt(h), t_lo + 1.0)
-
-
-def chebyshev_nodes(order: int, a: float, b: float) -> np.ndarray:
-    """Chebyshev points of the second kind on [a, b], ascending."""
-    k = np.arange(order + 1)
-    x = np.cos(np.pi * k / order)[::-1]
-    return a + 0.5 * (b - a) * (x + 1.0)
-
-
-def chebyshev_cumulative(order: int, a: float, b: float) -> np.ndarray:
-    """Spectral integration matrix on ``chebyshev_nodes(order, a, b)``.
-
-    Returns Q with (Q @ f)_j = int_a^{x_j} p(x) dx, where p is the degree-order
-    interpolant of the values f at the nodes x. Q[-1] is the Clenshaw-Curtis
-    rule on [a, b] (Trefethen, SIAM Rev. 50, 2008).
-    """
-    cheb = np.polynomial.chebyshev
-    x = chebyshev_nodes(order, -1.0, 1.0)
-    coeffs = np.linalg.solve(cheb.chebvander(x, order), np.eye(order + 1))
-    integrals = cheb.chebint(coeffs, lbnd=-1.0)
-    return 0.5 * (b - a) * (cheb.chebvander(x, order + 1) @ integrals)

@@ -10,10 +10,9 @@ drives the scaled curvature
 whose exponential yields the character form Ch = Str e^F, the transgression
 eta = -Str(i v e^F), and the off-support primitive beta = int_t^inf eta.
 Every morphism built here has v^2 = h I in the value slot, so
-eta(t) = e^{-h t^2} q(t) with q a polynomial in t, and beta is an exact
-Gauss rule (Hermite for the even part of q, Laguerre for the odd part) at a
-handful of t-nodes; the finite transgression delta = int_0^T eta uses
-order-doubling Gauss-Legendre.
+eta(t) = e^{-h t^2} q(t) with q an odd polynomial in t, and beta is the exact
+Gauss-Laguerre tail rule ``odd_gaussian_rule`` at a handful of t-nodes; the
+finite transgression delta = int_0^T eta uses order-doubling Gauss-Legendre.
 The pair (Ch(A), beta) is a relative cocycle; a cutoff chi that is 1 near
 the support turns it into the compactly supported representative
 chi Ch(A) + d chi ^ beta.
@@ -22,11 +21,12 @@ Products of two morphisms combine through the graded tensor sum; the
 mismatch between beta of the product and the product of the relative
 cocycles is d(B1 - B2), with the double transgression integrals (b_forms)
 
-    B1 = phi1 int_0^T eta1(s) ^ (int_0^s eta2) ds,
-    B2 = phi2 int_0^T (int_0^t eta1) ^ eta2(t) dt,
+    B1 = phi1 int_0^inf beta1(t) ^ eta2(t) dt,
+    B2 = phi2 int_0^inf eta1(t) ^ beta2(t) dt.
 
-computed by Chebyshev cumulative integration on the t-nodes where eta1 and
-eta2 are sampled.
+Each integrand is e^{-(h1 + h2) t^2} times an odd polynomial, so the same tail
+rule gives the outer integral, and the inner beta's are its tails from the
+outer nodes.
 
 Every one of these forms (Ch, eta, beta, the finite transgression delta and
 the double integrals B1, B2) is read from one t-batched kernel,
@@ -44,13 +44,7 @@ import numpy as np
 
 from .exterior import ChartPoint, FormField, FormValue, as_point
 from .jets import jet_constant
-from .quadrature import (
-    chebyshev_cumulative,
-    chebyshev_nodes,
-    gauss_legendre,
-    half_gaussian_rule,
-    tail_cutoff,
-)
+from .quadrature import gauss_legendre, odd_gaussian_rule
 from .relative import RelativeCochain, p_chi
 from .superlinalg import (
     ParitySplit,
@@ -60,7 +54,6 @@ from .superlinalg import (
     jet_slots,
     lincomb,
     slots_form,
-    smallest_eigenvalue,
     star_product,
     supertrace_slots,
 )
@@ -80,17 +73,14 @@ __all__ = [
     "b_forms",
 ]
 
-# The finite transgression delta on [0, T] (delta_form, and the [0, t_lo]
-# part of beta_form): Gauss-Legendre orders double from 32 to at most 256
-# until two agree to BETA_QUAD_TOL.
+# The finite transgression delta on [0, T] (delta_form, the independent check
+# of beta_form): Gauss-Legendre orders double from 32 to at most 256 until two
+# agree to BETA_QUAD_TOL.
 BETA_QUAD_TOL = 1e-10
 
-# beta_form's exact rule needs v^2 = h I in the value slot; entries may miss
+# The exact tail rule needs v^2 = h I in the value slot; entries may miss
 # h I by this much relative to h (round-off).
 SCALAR_V2_TOL = 1e-12
-
-# Chebyshev order of the t-nodes of the double-integral correction forms.
-BFORM_CHEB_ORDER = 72
 
 
 @dataclass
@@ -142,7 +132,7 @@ def v_sigma(b: MorphismBundle, point, order: int = 2) -> SuperMatrixForm:
 class _CurvaturePieces:
     """Point-local ingredients of F(t) = -t^2 V2 + t X + Y."""
 
-    __slots__ = ("v", "v2", "x", "y", "h")
+    __slots__ = ("v", "v2", "x", "y")
 
     def __init__(self, b: MorphismBundle, a: SuperConnectionData, point, order: int):
         if order not in (0, 1):
@@ -160,8 +150,6 @@ class _CurvaturePieces:
             ).truncate_order(order)
         self.x = 1j * x
         self.y = y
-        h = smallest_eigenvalue(self.v2.component(())[0])
-        self.h = max(h, 0.0)
 
     def curvature(self, ts: np.ndarray) -> SuperMatrixForm:
         """F(t) for a t-array, stacked on a leading axis; X drops out when all t = 0."""
@@ -246,6 +234,21 @@ def _integrate_eta(pieces, t_lo: float, t_hi: float) -> dict:
     )
 
 
+def _gaussian_rate(pieces: _CurvaturePieces) -> float:
+    """The scalar h with v^2 = h I in the value slot: the decay rate of eta."""
+    v2 = pieces.v2.component(())[0]
+    h = float(np.real(np.trace(v2))) / len(v2)
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"no Gaussian decay here (no spectral gap): h = {h!r}")
+    off = np.abs(v2 - h * np.eye(len(v2))).max()
+    if not off <= SCALAR_V2_TOL * h:
+        raise ValueError(
+            f"v^2 is not h I at this point: its value slot is {off:.3g} away "
+            f"from h I with h = {h:.6g}"
+        )
+    return h
+
+
 def beta_form(
     b: MorphismBundle,
     a: SuperConnectionData,
@@ -257,35 +260,24 @@ def beta_form(
     Where v^2 = h I in the value slot, F(t) = -t^2 h + N(t) with N nilpotent:
     its form part has degree <= m and t-degree 1 per form degree, its jet
     part (the derivatives of v^2) enters with t^2 at most ``jet_order``
-    times. So eta(t) = e^{-h t^2} q(t) with deg q <= D = m + 2 jet_order,
-    and ``half_gaussian_rule(D, h)`` integrates it over [0, inf) exactly, at
-    floor(D/2) + 1 + 2 (floor((D-1)/4) + 1) t-nodes in one batch (four for
-    the plane at jet order 0). For t_lo != 0 the finite transgression
-    int_0^{t_lo} eta is subtracted.
+    times. Each form degree carries t-powers of its own parity and eta has
+    odd form degree, so eta(t) = e^{-h t^2} q(t) with q odd and
+    deg q <= D = m + 2 jet_order, and ``odd_gaussian_rule(D, h, t_lo)``
+    integrates it over [t_lo, inf) exactly, at floor((D-1)/4) + 1 t-nodes in
+    one batch (one for the plane at jet order 0).
 
     Raises ValueError where h is not positive and finite (no Gaussian decay,
-    or a NaN point) and where the value slot of v^2 is not h I to relative
-    SCALAR_V2_TOL; both before any exponential is taken.
+    or a NaN point), where the value slot of v^2 is not h I to relative
+    SCALAR_V2_TOL, and where t_lo is not finite; all before any exponential
+    is taken.
     """
     m = b.chart_dim
     degree = m + 2 * jet_order
 
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
-        v2 = pieces.v2.component(())[0]
-        h = float(np.real(np.trace(v2))) / len(v2)
-        ts, ws = half_gaussian_rule(degree, h)
-        off = np.abs(v2 - h * np.eye(len(v2))).max()
-        if not off <= SCALAR_V2_TOL * h:
-            raise ValueError(
-                f"v^2 is not h I at this point: its value slot is {off:.3g} away "
-                f"from h I with h = {h:.6g}"
-            )
-        beta = _eta_rule(pieces, ts, ws)
-        if t_lo != 0.0:
-            for i, c in _integrate_eta(pieces, 0.0, t_lo).items():
-                beta[i] = beta[i] - c if i in beta else -c
-        return slots_form(beta, m)
+        ts, ws = odd_gaussian_rule(degree, _gaussian_rate(pieces), t_lo)
+        return slots_form(_eta_rule(pieces, ts, ws), m)
 
     return FormField(
         m,
@@ -419,7 +411,7 @@ def tensor_connection(
 
 
 def _wedge_slot_arrays(e1: dict, e2: dict, weights: np.ndarray, m: int) -> dict:
-    """sum_n w_n eta1[n] ^ eta2[n] for coefficient arrays {idx -> (N, S)}."""
+    """sum_n w_n e1[n] ^ e2[n] for coefficient arrays {idx -> (N, S)}."""
     from .exterior import merge_multiindex
 
     out: dict[tuple[int, ...], np.ndarray] = {}
@@ -440,6 +432,21 @@ def _wedge_slot_arrays(e1: dict, e2: dict, weights: np.ndarray, m: int) -> dict:
     return out
 
 
+def _eta_and_tails(pieces, degree: int, h: float, ts: np.ndarray) -> tuple[dict, dict]:
+    """eta(t) and beta(t) = int_t^inf eta at every t in ts, as arrays
+    {index -> (len(ts), S)}, from one t-batch: ts, then the tail-rule nodes
+    from each of them."""
+    tail_ts, tail_ws = odd_gaussian_rule(degree, h, ts)
+    vals = _character_slots(pieces, np.concatenate([ts, tail_ts.ravel()]), eta=True)
+    n = len(ts)
+    eta = {i: c[:n] for i, c in vals.items()}
+    beta = {
+        i: np.einsum("kj,kjs->ks", tail_ws, c[n:].reshape(*tail_ws.shape, -1))
+        for i, c in vals.items()
+    }
+    return eta, beta
+
+
 def b_forms(
     b1: MorphismBundle,
     a1: SuperConnectionData,
@@ -450,17 +457,24 @@ def b_forms(
 ) -> tuple[FormField, FormField]:
     """The ordered double integrals of eta1 ^ eta2 against the partition.
 
-        B1 = phi1 int_0^T eta1(s) ^ (int_0^s eta2) ds,
-        B2 = phi2 int_0^T (int_0^t eta1) ^ eta2(t) dt,
+        B1 = phi1 int_0^inf beta1(t) ^ eta2(t) dt = phi1 int_{s>t} eta1(s) ^ eta2(t),
+        B2 = phi2 int_0^inf eta1(t) ^ beta2(t) dt = phi2 int_{s<t} eta1(s) ^ eta2(t),
 
-    with T the tail cutoff of the smaller spectral gap. Their difference is a
-    primitive of beta_12 - beta_diamond. eta1 and eta2 are read only at the
-    BFORM_CHEB_ORDER + 1 Chebyshev nodes on [0, T]; the running integrals are
-    the cumulative-integration matrix applied to those values, and the outer
-    integral is its last row (Clenshaw-Curtis).
+    so B1/phi1 + B2/phi2 = beta1(0) ^ beta2(0). Their difference is a primitive
+    of beta_12 - beta_diamond. eta_b is e^{-h_b t^2} times an odd polynomial
+    of degree <= D = m + 2 jet_order and beta_b is e^{-h_b t^2} times an even
+    one of degree < D. Both integrands are therefore e^{-(h1 + h2) t^2} times
+    an odd polynomial of degree < 2D, which one outer
+    ``odd_gaussian_rule(2D, h1 + h2)`` integrates exactly; beta_b at its nodes
+    is the tail rule from each node. Each factor needs one t-batch (9 t-values
+    for the C^2 factors at jet order 1).
+
+    Raises ValueError, before any exponential, where either factor's v^2 is
+    not h I (see ``beta_form``).
     """
     phi1, phi2 = phis
     m = b1.chart_dim
+    degree = m + 2 * jet_order
     # Callers evaluate B1 and B2 back to back at one point, so only the last
     # point is kept.
     cache: dict[bytes, tuple[FormValue, FormValue]] = {}
@@ -471,18 +485,12 @@ def b_forms(
             return cache[key]
         pc1 = _CurvaturePieces(b1, a1, p, jet_order)
         pc2 = _CurvaturePieces(b2, a2, p, jet_order)
-        t_hi = tail_cutoff(min(pc1.h, pc2.h), 0.0)
-        nodes = chebyshev_nodes(BFORM_CHEB_ORDER, 0.0, t_hi)
-        eta1_nodes = _character_slots(pc1, nodes, eta=True)
-        eta2_nodes = _character_slots(pc2, nodes, eta=True)
-
-        # Running integrals int_0^{t_j} eta at every node; the last row is
-        # the outer rule.
-        cum = chebyshev_cumulative(BFORM_CHEB_ORDER, 0.0, t_hi)
-        run1 = {i: cum @ c for i, c in eta1_nodes.items()}
-        run2 = {i: cum @ c for i, c in eta2_nodes.items()}
-        raw1 = _wedge_slot_arrays(eta1_nodes, run2, cum[-1], m)
-        raw2 = _wedge_slot_arrays(run1, eta2_nodes, cum[-1], m)
+        h1, h2 = _gaussian_rate(pc1), _gaussian_rate(pc2)
+        ts, ws = odd_gaussian_rule(2 * degree, h1 + h2)
+        eta1, beta1 = _eta_and_tails(pc1, degree, h1, ts)
+        eta2, beta2 = _eta_and_tails(pc2, degree, h2, ts)
+        raw1 = _wedge_slot_arrays(beta1, eta2, ws, m)
+        raw2 = _wedge_slot_arrays(eta1, beta2, ws, m)
 
         w1 = phi1(p).coefficient(())
         w2 = phi2(p).coefficient(())

@@ -1,39 +1,17 @@
-"""Quadrature helpers: Chebyshev cumulative integration, the exact half-line
-Gaussian rule and the tail cutoff."""
+"""Quadrature helpers: the exact Gaussian tail rule and the tail cutoff."""
 
 from __future__ import annotations
 
-from math import erf, gamma, pi, sqrt
+from math import exp, factorial
 
 import numpy as np
 import pytest
 
-from chernforms.quadrature import (
-    chebyshev_cumulative,
-    chebyshev_nodes,
-    half_gaussian_rule,
-    tail_cutoff,
-)
+from chernforms.quadrature import odd_gaussian_rule, tail_cutoff
 
-
-def test_chebyshev_cumulative_integrates_monomials_exactly():
-    """Q x^k = (x^{k+1} - a^{k+1}) / (k + 1) at every node, for every k <= order."""
-    order, a, b = 72, 0.5, 3.0
-    cum = chebyshev_cumulative(order, a, b)
-    x = chebyshev_nodes(order, a, b)
-    assert cum.shape == (order + 1, order + 1)
-    for k in range(order + 1):
-        want = (x ** (k + 1) - a ** (k + 1)) / (k + 1)
-        assert np.abs(cum @ x**k - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def test_chebyshev_cumulative_last_row_is_a_quadrature_rule():
-    """int_{0.5}^{3} e^{-4x^2} dx = sqrt(pi)/4 (erf 6 - erf 1)."""
-    order, a, b = 72, 0.5, 3.0
-    weights = chebyshev_cumulative(order, a, b)[-1]
-    x = chebyshev_nodes(order, a, b)
-    want = sqrt(pi) / 4.0 * (erf(2.0 * b) - erf(2.0 * a))
-    assert abs(weights @ np.exp(-4.0 * x * x) - want) < 1e-13
+RULE_DEGREES = range(14)
+RULE_RATES = [1e-2, 1.0, 50.0]
+RULE_LOWER_LIMITS = [0.0, 0.7, 2.5]
 
 
 @pytest.mark.parametrize("h", [float("nan"), 0.0, -1.0])
@@ -43,25 +21,53 @@ def test_tail_cutoff_rejects_no_decay(h):
         tail_cutoff(h, 0.0)
 
 
-@pytest.mark.parametrize("h", [1e-2, 1.0, 50.0])
-@pytest.mark.parametrize("degree", range(7))
-def test_half_gaussian_rule_integrates_every_monomial(degree, h):
-    """int_0^inf t^k e^{-h t^2} dt = Gamma((k+1)/2) h^{-(k+1)/2} / 2 for k <= degree."""
-    t, w = half_gaussian_rule(degree, h)
-    assert np.isfinite(t).all() and np.isfinite(w).all()
-    assert len(t) == degree // 2 + 1 + 2 * ((degree - 1) // 4 + 1)
-    for k in range(degree + 1):
-        want = 0.5 * gamma((k + 1) / 2) * h ** (-(k + 1) / 2)
-        assert abs(w @ (t**k * np.exp(-h * t * t)) - want) <= 1e-13 * want
+def _odd_moment_tail(k: int, h: float, a: float) -> float:
+    """int_a^inf t^{2k+1} e^{-h t^2} dt = k! e^{-h a^2} sum_{j<=k} (h a^2)^j / j! / (2 h^{k+1})."""
+    x = h * a * a
+    series = sum(x**j / factorial(j) for j in range(k + 1))
+    return factorial(k) * exp(-x) * series / (2.0 * h ** (k + 1))
+
+
+@pytest.mark.parametrize("h", RULE_RATES)
+@pytest.mark.parametrize("degree", RULE_DEGREES)
+def test_odd_gaussian_rule_integrates_every_odd_monomial(degree, h):
+    """Every t^{2k+1} with 2k + 1 <= degree, from each lower limit, to relative 1e-13.
+
+    An odd polynomial of degree 0 is zero, so that rule has no node."""
+    for a in RULE_LOWER_LIMITS:
+        s, w = odd_gaussian_rule(degree, h, a)
+        assert s.shape == w.shape == ((degree - 1) // 4 + 1,)
+        assert np.isfinite(s).all() and np.isfinite(w).all()
+        assert (s >= a).all()
+        for k in range((degree - 1) // 2 + 1):
+            want = _odd_moment_tail(k, h, a)
+            got = w @ (s ** (2 * k + 1) * np.exp(-h * s * s))
+            assert abs(got - want) <= 1e-13 * want, (a, k)
+
+
+def test_odd_gaussian_rule_broadcasts_its_lower_limit():
+    """An array of lower limits gives one row of nodes per limit, equal to the scalar rule."""
+    limits = np.array([[0.0, 0.7], [2.5, -0.7]])
+    s, w = odd_gaussian_rule(9, 1.0, limits)
+    assert s.shape == w.shape == (2, 2, 3)
+    for idx in np.ndindex(limits.shape):
+        s1, w1 = odd_gaussian_rule(9, 1.0, float(limits[idx]))
+        assert np.array_equal(s[idx], s1) and np.array_equal(w[idx], w1)
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
-def test_half_gaussian_rule_rejects_no_decay(h):
+def test_odd_gaussian_rule_rejects_no_decay(h):
     with pytest.raises(ValueError, match="no Gaussian decay"):
-        half_gaussian_rule(2, h)
+        odd_gaussian_rule(2, h)
 
 
 @pytest.mark.parametrize("degree", [-1, 2.0])
-def test_half_gaussian_rule_rejects_a_bad_degree(degree):
+def test_odd_gaussian_rule_rejects_a_bad_degree(degree):
     with pytest.raises(ValueError, match="non-negative integer"):
-        half_gaussian_rule(degree, 1.0)
+        odd_gaussian_rule(degree, 1.0)
+
+
+@pytest.mark.parametrize("t_from", [float("nan"), float("inf"), [0.5, float("nan")]])
+def test_odd_gaussian_rule_rejects_a_non_finite_lower_limit(t_from):
+    with pytest.raises(ValueError, match="must be finite"):
+        odd_gaussian_rule(3, 1.0, t_from)

@@ -16,13 +16,15 @@ from chernforms.exterior import (
     smooth_cutoff,
     wedge,
 )
-from chernforms.quadrature import half_gaussian_rule, tail_cutoff
+from chernforms.jets import jet_value
+from chernforms.quadrature import odd_gaussian_rule, tail_cutoff
 from chernforms.quillen import (
     MorphismBundle,
     SuperConnectionData,
     _CurvaturePieces,
     _embed_factor,
     _eta_rule,
+    _gaussian_rate,
     _integrate_eta,
     _tensor_layout,
     b_forms,
@@ -316,7 +318,7 @@ def test_eta_quadrature_with_a_nan_step_raises():
         delta(ChartPoint([np.nan, 0.5]))
 
 
-# -- beta by the exact half-line rule ----------------------------------------
+# -- eta integrals by the exact tail rule ------------------------------------
 
 # Agreement of the exact rule with the order-doubling Gauss-Legendre route,
 # whose own convergence tolerance is BETA_QUAD_TOL = 1e-10.
@@ -325,6 +327,9 @@ BETA_RULE_TOL = 1e-10
 BETA_RULE_ROUNDOFF = 1e-13
 RULE_POINTS = 20
 RULE_CASES = ("bott", "cylinder", "c2-product", "spin")
+ODD_POINTS = 4
+# B1 + B2 against beta1 ^ beta2: both sides are exact rules, so round-off only.
+B_SPLIT_TOL = 1e-12
 
 
 def _rule_cases():
@@ -362,25 +367,27 @@ def _rule_cases():
 def _doubling_beta(b, a, p, t_lo, jet_order) -> FormValue:
     """int_{t_lo}^{T0} eta by order-doubling Gauss-Legendre (T0 the tail cutoff)."""
     pieces = _CurvaturePieces(b, a, p, jet_order)
+    h = _gaussian_rate(pieces)
     if t_lo == 0.0:
-        return delta_form(b, a, tail_cutoff(pieces.h, 0.0), jet_order)(p)
-    return slots_form(_integrate_eta(pieces, t_lo, tail_cutoff(pieces.h, t_lo)), b.chart_dim)
+        return delta_form(b, a, tail_cutoff(h, 0.0), jet_order)(p)
+    return slots_form(_integrate_eta(pieces, t_lo, tail_cutoff(h, t_lo)), b.chart_dim)
 
 
 def _rule_beta(b, a, p, jet_order, degree) -> FormValue:
-    """int_0^inf eta by the half-line rule at an explicit degree bound."""
+    """int_0^inf eta by the tail rule at an explicit degree bound."""
     pieces = _CurvaturePieces(b, a, p, jet_order)
     h = float(np.real(pieces.v2.component(())[0, 0, 0]))
-    return slots_form(_eta_rule(pieces, *half_gaussian_rule(degree, h)), b.chart_dim)
+    return slots_form(_eta_rule(pieces, *odd_gaussian_rule(degree, h)), b.chart_dim)
 
 
 @pytest.mark.parametrize("jet_order", [0, 1])
 @pytest.mark.parametrize("name", RULE_CASES)
 def test_beta_rule_matches_doubling_quadrature(name, jet_order):
-    """beta_form (one batch at the exact Gauss nodes) against the doubling
+    """beta_form (one batch at the exact tail-rule nodes) against the doubling
     Gauss-Legendre route on [t_lo, T0], at t_lo = 0 and 1 alternately; and
-    against the rule at degree bound D + 4, which a too-low D misses (the
-    plane at jet order 0 fails with D - 2)."""
+    against the rule at degree bound D + 4 (more nodes) to round-off. The
+    bound has slack on these cases: a single Laguerre node already matches
+    D + 4, so exactness in D itself is tested in test_quadrature."""
     b, a, sample = _rule_cases()[name]
     rng = np.random.default_rng([17, jet_order, RULE_CASES.index(name)])
     degree = b.chart_dim + 2 * jet_order
@@ -395,6 +402,44 @@ def test_beta_rule_matches_doubling_quadrature(name, jet_order):
             assert (got - wider).max_abs() < BETA_RULE_ROUNDOFF * max(1.0, wider.max_abs())
 
 
+def _jet_max_abs(fv: FormValue) -> float:
+    """Largest |value| or |first derivative| over the coefficients of a form."""
+    return max(
+        (max(abs(jet_value(c)), np.abs(getattr(c, "grad", 0.0)).max()) for c in fv.terms.values()),
+        default=0.0,
+    )
+
+
+@pytest.mark.parametrize("jet_order", [0, 1])
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_eta_is_odd_in_t(name, jet_order):
+    """eta(t) + eta(-t) = 0 exactly: the premise of the odd tail rule."""
+    b, a, sample = _rule_cases()[name]
+    rng = np.random.default_rng([23, jet_order, RULE_CASES.index(name)])
+    etas = {t: eta_form(b, a, t, jet_order) for t in (0.3, 0.9, 1.7, -0.3, -0.9, -1.7)}
+    for _ in range(ODD_POINTS):
+        p = ChartPoint(sample(rng))
+        for t in (0.3, 0.9, 1.7):
+            assert _jet_max_abs(etas[t](p) + etas[-t](p)) == 0.0
+
+
+@pytest.mark.parametrize("jet_order", [0, 1])
+def test_b_forms_split_beta1_wedge_beta2(jet_order):
+    """With phi1 = phi2 = 1 the two ordered halves add up to the whole square:
+    B1 + B2 = beta1(0) ^ beta2(0), value and first derivatives."""
+    b1, b2 = plane_factor(1), plane_factor(2)
+    one = FormField(4, lambda p: FormValue(4, {(): 1.0}))
+    bf1, bf2 = b_forms(b1, TRIVIAL, b2, TRIVIAL, (one, one), jet_order=jet_order)
+    beta1 = beta_form(b1, TRIVIAL, jet_order=jet_order)
+    beta2 = beta_form(b2, TRIVIAL, jet_order=jet_order)
+    sample = _rule_cases()["c2-product"][2]
+    rng = np.random.default_rng([29, jet_order])
+    for _ in range(RULE_POINTS):
+        p = ChartPoint(sample(rng))
+        split = bf1(p) + bf2(p) - wedge(beta1(p), beta2(p))
+        assert _jet_max_abs(split) < B_SPLIT_TOL
+
+
 def test_beta_at_a_nan_point_raises():
     """No tail cutoff is taken on the exact-rule path; h = NaN must still raise."""
     beta = beta_form(bott_morphism(), TRIVIAL)
@@ -402,8 +447,15 @@ def test_beta_at_a_nan_point_raises():
         beta(ChartPoint([np.nan, 0.5]))
 
 
+def test_beta_at_a_non_finite_lower_limit_raises():
+    beta = beta_form(bott_morphism(), TRIVIAL, t_lo=np.nan)
+    with pytest.raises(ValueError, match="must be finite"):
+        beta(ChartPoint([1.0, 0.5]))
+
+
 def test_beta_needs_a_scalar_v_squared(monkeypatch):
-    """sigma = diag(z, 2z) has v^2 = diag(r^2, 4 r^2, ...): no single Gaussian rate."""
+    """sigma = diag(z, 2z) has v^2 = diag(r^2, 4 r^2, ...): no single Gaussian
+    rate. beta_form and both b_forms fields refuse it before any exponential."""
 
     def sigma(p):
         z = complex(*p.coords)
@@ -419,5 +471,8 @@ def test_beta_needs_a_scalar_v_squared(monkeypatch):
         raise AssertionError("graded_exp called before the v^2 check")
 
     monkeypatch.setattr(quillen, "graded_exp", no_exponential)
-    with pytest.raises(ValueError, match="v\\^2 is not h I"):
-        beta_form(b, TRIVIAL)(ChartPoint([0.8, -0.3]))
+    one = FormField(2, lambda p: FormValue(2, {(): 1.0}))
+    bf1, bf2 = b_forms(b, TRIVIAL, bott_morphism(), TRIVIAL, (one, one))
+    for field in (beta_form(b, TRIVIAL), bf1, bf2):
+        with pytest.raises(ValueError, match="v\\^2 is not h I"):
+            field(ChartPoint([0.8, -0.3]))
