@@ -138,10 +138,10 @@ def wedge_exp(a: FormValue, scalar_part=None) -> FormValue:
 
     ``a`` may use fiber generators but must have no degree-0 value: the sum
     terminates at total degree chart_dim + fiber_dim only for a nilpotent
-    argument. A scalar part (a number or Jet) is passed separately and
-    exponentiates exactly.
+    argument. A scalar part (a number, node array or Jet) is passed separately
+    and exponentiates exactly.
     """
-    if jet_value(a.terms.get((), 0.0)) != 0:
+    if np.any(jet_value(a.terms.get((), 0.0)) != 0):
         raise ValueError(
             "wedge_exp needs a nilpotent form; pass its degree-0 part as scalar_part"
         )

@@ -7,6 +7,13 @@ wraps an evaluator from chart points to form values, and the exterior
 derivative differentiates the jet coefficients (consuming one derivative
 order).
 
+A ``ChartPoint`` is one point (coords of shape (m,)) or a row of k nodes
+(coords (k, m)). At a row every coefficient may carry a leading node axis
+(see :mod:`chernforms.jets`): a form value then holds the k form values of
+its nodes under one key set, and a domain predicate returns a boolean mask.
+A row gives, node by node, the bits of single points; a key that only some
+nodes have is an exact zero at the others.
+
 A form value may also carry ``fiber_dim`` odd generators e_1..e_d of an
 exterior algebra Lambda(V), labelled ``chart_dim + 1 .. chart_dim + d``
 after the chart differentials. The index I u S then stores (f dx_I) e_S,
@@ -25,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet, jet_constant, jet_coordinates, jet_value, smooth_step
+from .jets import Jet, coeff_mul, jet_constant, jet_coordinates, jet_value, smooth_step
 
 __all__ = [
     "ChartPoint",
@@ -48,18 +55,25 @@ class OutsideDomainError(ValueError):
 
 
 class ChartPoint:
-    """A point of an m-dimensional coordinate chart (real coordinates)."""
+    """A point of an m-dimensional coordinate chart (real coordinates).
+
+    Coords of shape (k, m) make a row of k nodes, evaluated in one field
+    call (see the module docstring).
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         self.coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        if self.coords.ndim != 1:
-            raise ValueError("chart point coordinates must be a flat sequence")
+        if self.coords.ndim > 2:
+            raise ValueError(
+                "chart point coordinates must be a flat sequence or a (nodes, m) row; "
+                f"got shape {self.coords.shape}"
+            )
 
     @property
     def dim(self) -> int:
-        return self.coords.shape[0]
+        return self.coords.shape[-1]
 
     def __getitem__(self, i: int) -> float:
         return float(self.coords[i])
@@ -103,7 +117,7 @@ def merge_multiindex(left, right):
 
 
 class FormValue:
-    """A differential form at a point: mapping multi-index -> coefficient.
+    """A differential form at a point or row: mapping multi-index -> coefficient.
 
     ``fiber_dim`` counts the Lambda(V) generators the indices may use (see
     the module docstring); it is 0 for a plain chart form.
@@ -178,10 +192,10 @@ class FormValue:
         return self * (-1.0)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (Number, Jet)):
+        if isinstance(scalar, (Number, Jet, np.ndarray)):
             return FormValue(
                 self.chart_dim,
-                {i: c * scalar for i, c in self.terms.items()},
+                {i: coeff_mul(c, scalar) for i, c in self.terms.items()},
                 validate=False,
                 fiber_dim=self.fiber_dim,
             )
@@ -229,7 +243,7 @@ def wedge(a: FormValue, b: FormValue) -> FormValue:
             sign, merged = merge_multiindex(i_left, i_right)
             if sign == 0:
                 continue
-            term = c_left * c_right
+            term = coeff_mul(c_left, c_right)
             if sign < 0:
                 term = -term
             out[merged] = out[merged] + term if merged in out else term
@@ -240,7 +254,7 @@ def degree_involution(a: FormValue) -> FormValue:
     """Multiply each homogeneous component by (-1)^degree."""
     return FormValue(
         a.chart_dim,
-        {i: (c if len(i) % 2 == 0 else -1.0 * c) for i, c in a.terms.items()},
+        {i: (c if len(i) % 2 == 0 else coeff_mul(-1.0, c)) for i, c in a.terms.items()},
         validate=False,
         fiber_dim=a.fiber_dim,
     )
@@ -262,13 +276,19 @@ class FormField:
                 f"point has {p.dim} coordinates, field lives on a "
                 f"{self.chart_dim}-chart"
             )
-        if self.domain is not None and not self.domain(p):
-            raise OutsideDomainError(f"{self.name or 'field'} evaluated at {p!r}")
+        if self.domain is not None:
+            inside = self.domain(p)
+            if not (inside is True or inside is np.True_ or np.all(inside)):
+                where = p
+                if p.coords.ndim > 1:
+                    j = int(np.argmin(inside))
+                    where = f"node {j} of a row, {ChartPoint(p.coords[j])!r}"
+                raise OutsideDomainError(f"{self.name or 'field'} evaluated at {where}")
         return self.evaluator(p)
 
 
 def differentiate_value(fv: FormValue) -> FormValue:
-    """Exterior derivative of a single form value with Jet coefficients.
+    """Exterior derivative of a form value (at a point or row) with Jet coefficients.
 
     Acts on the chart differentials only: d((f dx_I) e_S) = (df dx_I) e_S.
     """
@@ -279,14 +299,20 @@ def differentiate_value(fv: FormValue) -> FormValue:
             raise TypeError(
                 "exterior derivative needs Jet coefficients; got a plain number"
             )
+        # Partials along the first axis; a row's node axis moves behind it.
+        grad, hess = coeff.grad, coeff.hess
+        if grad.ndim > 1:
+            grad = grad.T
+        if hess is not None and hess.ndim > 2:
+            hess = hess.transpose(1, 0, 2)
         for k in range(1, m + 1):
             sign, merged = merge_multiindex((k,), index)
             if sign == 0:
                 continue
-            if coeff.hess is not None:
-                part = Jet(coeff.grad[k - 1], coeff.hess[k - 1], None)
+            if hess is not None:
+                part = Jet(grad[k - 1], hess[k - 1], None)
             else:
-                part = complex(coeff.grad[k - 1])
+                part = jet_value(grad[k - 1])
             if sign < 0:
                 part = -part
             out[merged] = out[merged] + part if merged in out else part
@@ -326,7 +352,8 @@ def smooth_cutoff(
     Returns the degree-0 field chi with chi = 1 where sum x_i^2 <= r_inner
     and chi = 0 where sum x_i^2 >= r_outer (both exactly, derivatives
     included). ``dims`` restricts the radius to a 1-based coordinate subset;
-    the default uses all coordinates.
+    the default uses all coordinates. At a row the smooth step masks off the
+    nodes outside the band.
     """
     if not (0.0 <= r_inner < r_outer):
         raise ValueError("need 0 <= r_inner < r_outer")

@@ -90,7 +90,8 @@ class MorphismBundle:
     ``sigma(point)`` returns the matrix of sigma: E+ -> E- as a jet stack of
     shape (1 + m + m^2, minus_dim, plus_dim): value, gradients, row-major
     Hessian. ``support(point)`` says whether sigma fails to be invertible
-    there.
+    there. A sigma that takes rows of nodes returns a leading node axis, and
+    its support a boolean mask.
     """
 
     split: ParitySplit
@@ -116,21 +117,24 @@ def v_sigma(b: MorphismBundle, point, order: int = 2) -> SuperMatrixForm:
     sig = np.asarray(b.sigma(p), dtype=complex)
     m = b.chart_dim
     slots = jet_slots(order, m)
-    if sig.shape[0] < slots:
+    if sig.shape[-3] < slots:
         raise ValueError("sigma jets do not carry the requested order")
-    sig = sig[:slots]
+    sig = sig[..., :slots, :, :]
     np_, nm = b.split.plus_dim, b.split.minus_dim
-    if sig.shape[1:] != (nm, np_):
+    if sig.shape[-2:] != (nm, np_):
         raise ValueError("sigma block has the wrong shape")
     n = b.split.dim
-    arr = np.zeros((slots, n, n), dtype=complex)
-    arr[:, np_:, :np_] = sig
-    arr[:, :np_, np_:] = np.conj(np.swapaxes(sig, -1, -2))
+    arr = np.zeros(sig.shape[:-2] + (n, n), dtype=complex)
+    arr[..., np_:, :np_] = sig
+    arr[..., :np_, np_:] = np.conj(np.swapaxes(sig, -1, -2))
     return SuperMatrixForm(b.split, m, {(): arr})
 
 
 class _CurvaturePieces:
-    """Point-local ingredients of F(t) = -t^2 V2 + t X + Y."""
+    """Point-local ingredients of F(t) = -t^2 V2 + t X + Y.
+
+    At a row of nodes each carries an empty t-axis after the node axis.
+    """
 
     __slots__ = ("v", "v2", "x", "y")
 
@@ -150,9 +154,13 @@ class _CurvaturePieces:
             ).truncate_order(order)
         self.x = 1j * x
         self.y = y
+        if as_point(point).coords.ndim > 1:
+            # A row: room for the t-axis after the node axis.
+            self.v, self.v2, self.x = _t_axis(self.v), _t_axis(self.v2), _t_axis(self.x)
+            self.y = None if y is None else _t_axis(y)
 
     def curvature(self, ts: np.ndarray) -> SuperMatrixForm:
-        """F(t) for a t-array, stacked on a leading axis; X drops out when all t = 0."""
+        """F(t) for a t-array, on the axis after any node axes; X drops out when all t = 0."""
         tt = ts[:, None, None, None]
         parts = [(-(tt**2), self.v2)]
         if ts.any():
@@ -162,8 +170,18 @@ class _CurvaturePieces:
         return lincomb(parts)
 
 
+def _t_axis(mat: SuperMatrixForm) -> SuperMatrixForm:
+    """Room for a t-axis between a matrix's node axes and its jet slots."""
+    comps = {i: c[..., None, :, :, :] for i, c in mat.components.items()}
+    return SuperMatrixForm(mat.split, mat.chart_dim, comps)
+
+
 def _character_slots(pieces: _CurvaturePieces, ts: np.ndarray, eta: bool = False) -> dict:
-    """Str e^{F(t)}, or eta(t) = -Str(i v e^{F(t)}), as arrays {index -> (T, slots)}."""
+    """Str e^{F(t)}, or eta(t) = -Str(i v e^{F(t)}), as arrays {index -> (..., T, slots)}.
+
+    Node axes of a row come first, then the t-axis; ``graded_exp`` scales
+    each node on its own, so a row gives every node its single-point bits.
+    """
     e = graded_exp(pieces.curvature(ts))
     if not eta:
         return supertrace_slots(e)
@@ -171,12 +189,12 @@ def _character_slots(pieces: _CurvaturePieces, ts: np.ndarray, eta: bool = False
 
 
 def _single_t_field(b, a, t: float, jet_order: int, eta: bool, name: str) -> FormField:
-    """Ch or eta at one t: row 0 of a one-element t-batch at each point."""
+    """Ch or eta at one t: entry 0 of a one-element t-batch at each point or row."""
 
     def evaluate(p: ChartPoint) -> FormValue:
         pieces = _CurvaturePieces(b, a, p, jet_order)
         rows = _character_slots(pieces, np.array([t], dtype=float), eta)
-        return slots_form({i: c[0] for i, c in rows.items()}, b.chart_dim)
+        return slots_form({i: c[..., 0, :] for i, c in rows.items()}, b.chart_dim)
 
     return FormField(b.chart_dim, evaluate, name=name)
 
@@ -282,7 +300,7 @@ def beta_form(
     return FormField(
         m,
         evaluate,
-        domain=lambda p: not b.support(p),
+        domain=lambda p: np.logical_not(b.support(p)),
         name="beta",
     )
 
@@ -377,7 +395,7 @@ def tensor_morphism(b1: MorphismBundle, b2: MorphismBundle) -> MorphismBundle:
         split=split,
         chart_dim=b1.chart_dim,
         sigma=sigma,
-        support=lambda p: b1.support(p) and b2.support(p),
+        support=lambda p: np.logical_and(b1.support(p), b2.support(p)),
     )
 
 

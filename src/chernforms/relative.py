@@ -11,12 +11,18 @@ defined form using a cutoff that is 1 near the support.
 Mixed-degree pairs are handled through the degree involution
 iota(omega) = sum (-1)^k omega^{(k)}, which reduces to the usual
 (-1)^{k_1} signs on homogeneous cochains.
+
+``integrate_fiber`` calls its field once per grid row: the nodes over one
+base point that share every fiber coordinate but the last, as one
+``ChartPoint`` of shape (k, m). ``p_chi`` takes such rows and evaluates
+beta only on the sub-row where d chi is nonzero. ``integrate_compact``
+still calls its field once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .exterior import (
     exterior_derivative,
     wedge,
 )
-from .jets import Jet, jet_value
+from .jets import Jet, jet_value, scatter_nodes, select_nodes, take_nodes
 from .quadrature import gauss_hermite, gauss_legendre
 
 __all__ = [
@@ -127,11 +133,25 @@ def product_phi(
     return RelativeCochain(alpha=FormField(m, alpha_eval), beta=FormField(m, beta_eval))
 
 
+def _live_nodes(fv: FormValue) -> np.ndarray:
+    """Mask of the row's nodes where some coefficient or stored derivative is nonzero."""
+    live = False
+    for coeff in fv.terms.values():
+        if isinstance(coeff, Jet):
+            live = live | (coeff.value != 0.0) | np.any(coeff.grad != 0.0, axis=-1)
+            if coeff.hess is not None:
+                live = live | np.any(coeff.hess != 0.0, axis=(-2, -1))
+        else:
+            live = live | (coeff != 0.0)
+    return live
+
+
 def p_chi(c: RelativeCochain, chi: FormField) -> FormField:
     """Globally defined representative chi alpha + d chi ^ beta.
 
     ``chi`` must be identically 1 on a neighborhood of the support, so the
-    second term (the only one needing beta) lives where beta exists.
+    second term (the only one needing beta) lives where beta exists. At a
+    row, beta is evaluated on the sub-row where d chi is nonzero only.
     """
     m = c.chart_dim
 
@@ -140,9 +160,24 @@ def p_chi(c: RelativeCochain, chi: FormField) -> FormField:
         w = chi_val.coefficient(())
         out = c.alpha(p) * w
         dchi = differentiate_value(chi_val)
-        if dchi.terms and not all(_jet_is_zero(v) for v in dchi.terms.values()):
-            out = out + wedge(dchi, c.beta(p))
-        return out
+        if p.coords.ndim == 1:
+            if dchi.terms and not all(_jet_is_zero(v) for v in dchi.terms.values()):
+                out = out + wedge(dchi, c.beta(p))
+            return out
+        live = np.broadcast_to(_live_nodes(dchi), p.coords.shape[:1])
+        if not live.any():
+            return out
+        sub = ChartPoint(p.coords[live])
+        dchi_live = {i: take_nodes(v, live) for i, v in dchi.terms.items()}
+        term = wedge(FormValue(m, dchi_live, validate=False), c.beta(sub))
+        terms = dict(out.terms)
+        for index, coeff in term.terms.items():
+            added = scatter_nodes(coeff, live)
+            if index in terms:
+                base = terms[index]
+                added = select_nodes(live, base + added, base)
+            terms[index] = added
+        return FormValue(m, terms, validate=False, fiber_dim=out.fiber_dim)
 
     return FormField(m, evaluate, name="p_chi")
 
@@ -240,13 +275,17 @@ def integrate_fiber(
     fiber_sorted = tuple(sorted(fiber))
     fiber_set = set(fiber)
 
-    coords = np.empty(m)
-    coords[[dim - 1 for dim in base_dims]] = base.coords
+    # One field call per grid row: the nodes that share every fiber
+    # coordinate but the last, in the grid's own order.
+    row = len(axes[-1][0]) if axes else 1
+    grid = _tensor_grid(axes)
+    coords = np.empty((row, m))
+    coords[:, [dim - 1 for dim in base_dims]] = base.coords
     fiber_at = [dim - 1 for dim in fiber]
 
     out: dict[tuple[int, ...], complex] = {}
-    for nodes, w in _tensor_grid(axes):
-        coords[fiber_at] = nodes
+    while nodes := list(islice(grid, row)):
+        coords[:, fiber_at] = [x for x, _ in nodes]
         fv = field(ChartPoint(coords))
         for index, coeff in fv.terms.items():
             if tuple(i for i in index if i in fiber_set) != fiber_sorted:
@@ -254,7 +293,10 @@ def integrate_fiber(
             base_part = tuple(i for i in index if i not in fiber_set)
             # Sign of moving dx_fiber to the right of the base differentials.
             sign = orient * epsilon_sign(base_part, fiber_sorted)
-            val = sign * w * jet_value(coeff)
             new_index = tuple(relabel[i] for i in base_part)
-            out[new_index] = out.get(new_index, 0.0) + val
+            total = out.get(new_index, 0.0)
+            values = np.broadcast_to(jet_value(coeff), (row,)).tolist()
+            for (_, w), value in zip(nodes, values):
+                total = total + sign * w * value
+            out[new_index] = total
     return FormValue(len(base_dims), out, validate=False)

@@ -154,24 +154,26 @@ def _sweep_outcome(
 
 
 def bott_morphism() -> MorphismBundle:
-    """sigma(z) = z on the chart (x, y), rank (1|1)."""
+    """sigma(z) = z on the chart (x, y), rank (1|1); sigma and its support take rows."""
 
     def sigma(point: ChartPoint) -> np.ndarray:
-        x, y = point.coords
-        out = np.zeros((7, 1, 1), dtype=complex)
-        out[0, 0, 0] = complex(x, y)
-        out[1, 0, 0] = 1.0
-        out[2, 0, 0] = 1j
+        c = point.coords
+        out = np.zeros(c.shape[:-1] + (7, 1, 1), dtype=complex)
+        out.real[..., 0, 0, 0] = c[..., 0]
+        out.imag[..., 0, 0, 0] = c[..., 1]
+        out[..., 1, 0, 0] = 1.0
+        out[..., 2, 0, 0] = 1j
         return out
 
-    def modulus(p) -> float:
-        return float(np.hypot(*as_point(p).coords))
+    def support(p):
+        c = as_point(p).coords
+        return np.hypot(c[..., 0], c[..., 1]) < 1e-12
 
     return MorphismBundle(
         split=ParitySplit(1, 1),
         chart_dim=2,
         sigma=sigma,
-        support=lambda p: modulus(p) < 1e-12,
+        support=support,
     )
 
 
@@ -238,16 +240,16 @@ def cylinder_morphism() -> MorphismBundle:
         out[3:, 0, 0] = val.hess.reshape(-1)
         return out
 
-    def modulus(p) -> float:
-        theta, xi = as_point(p).coords
-        w = smooth_step(float(xi))
-        return float(abs((1.0 - w) + w * np.exp(1j * theta)))
+    def support(p):
+        c = as_point(p).coords
+        w = smooth_step(c[..., 1])
+        return np.abs((1.0 - w) + w * np.exp(1j * c[..., 0])) < 1e-12
 
     return MorphismBundle(
         split=ParitySplit(1, 1),
         chart_dim=2,
         sigma=sigma,
-        support=lambda p: modulus(p) < 1e-12,
+        support=support,
     )
 
 
@@ -297,15 +299,15 @@ def plane_factor(which: int) -> MorphismBundle:
         out[2 + off, 0, 0] = 1j
         return out
 
-    def modulus(p) -> float:
+    def support(p):
         c = as_point(p).coords
-        return float(np.hypot(c[off], c[off + 1]))
+        return np.hypot(c[..., off], c[..., off + 1]) < 1e-12
 
     return MorphismBundle(
         split=ParitySplit(1, 1),
         chart_dim=4,
         sigma=sigma,
-        support=lambda p: modulus(p) < 1e-12,
+        support=support,
     )
 
 

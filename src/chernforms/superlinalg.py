@@ -200,13 +200,18 @@ class SuperMatrixForm:
 
 
 def _slots_to_coefficient(slot_vec: np.ndarray, m: int):
-    """Convert a stacked slot vector (S,) into a Jet or plain complex."""
-    s = slot_vec.shape[0]
+    """Convert a stacked slot vector (S,) into a Jet or plain complex.
+
+    A (k, S) stack on a row of k nodes gives a row jet or a node array.
+    """
+    s = slot_vec.shape[-1]
+    value = slot_vec[..., 0]
     if s == 1:
-        return complex(slot_vec[0])
+        return value.copy() if slot_vec.ndim > 1 else complex(value)
     if s == 1 + m:
-        return Jet(slot_vec[0], slot_vec[1:])
-    return Jet(slot_vec[0], slot_vec[1 : 1 + m], slot_vec[1 + m :].reshape(m, m))
+        return Jet(value, slot_vec[..., 1:])
+    hess = slot_vec[..., 1 + m :].reshape(slot_vec.shape[:-1] + (m, m))
+    return Jet(value, slot_vec[..., 1 : 1 + m], hess)
 
 
 def coefficient_to_slots(coeff, m: int, order: int) -> np.ndarray:
@@ -280,7 +285,7 @@ def supertrace_slots(mat: SuperMatrixForm) -> dict[tuple[int, ...], np.ndarray]:
 
 
 def slots_form(arrs: dict[tuple[int, ...], np.ndarray], m: int) -> FormValue:
-    """The form whose dx_I coefficient is the slot vector arrs[I] of shape (S,)."""
+    """The form whose dx_I coefficient is the slot vector arrs[I] of shape (S,) or (k, S)."""
     return FormValue(
         m, {i: _slots_to_coefficient(a, m) for i, a in arrs.items()}, validate=False
     )
@@ -379,19 +384,33 @@ def _left_mult(col: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return signed.take(gather, axis=-1).reshape(lead + (rows, rows))
 
 
-def _ring_norm(components: dict, m: int) -> float:
-    """A submultiplicative bound used only to pick the scaling exponent."""
+def _ring_norm(components: dict, m: int, lead: tuple[int, ...] = ()):
+    """A submultiplicative bound used only to pick the scaling exponent.
+
+    Taken over the whole batch, or with ``lead`` = the batch's node axes,
+    over its last (t-) axis per node: an array over the node axes, each
+    node bounded as it would be alone.
+    """
     total = 0.0
     for c in components.values():
         order = order_of_slots(c.shape[-3], m)
-        flat = c.reshape((-1,) + c.shape[-3:])
-        col_sums = np.abs(flat).sum(axis=-2)
-        norms = col_sums.max(axis=-1)
         weights = np.ones(c.shape[-3])
         if order == 2:
             weights[1 + m :] = 0.5
+        if lead:
+            bound = (np.abs(c).sum(axis=-2).max(axis=-1) * weights).sum(axis=-1)
+            bound = bound.reshape((1,) * (len(lead) + 1 - bound.ndim) + bound.shape)
+            total = total + np.broadcast_to(bound.max(axis=-1), lead)
+            continue
+        flat = c.reshape((-1,) + c.shape[-3:])
+        col_sums = np.abs(flat).sum(axis=-2)
+        norms = col_sums.max(axis=-1)
         total += float((norms * weights).sum(axis=-1).max())
     return total
+
+
+def _squarings(nrm: float) -> int:
+    return int(np.ceil(np.log2(nrm / TAYLOR_RADIUS))) if nrm > TAYLOR_RADIUS else 0
 
 
 def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
@@ -402,7 +421,9 @@ def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
     first block column, which holds the components of M. So only that column
     of the exponential is computed: Taylor scaling-and-squaring in the jet
     ring, with every product a thin (N x N) @ (N x n) one, N = n * 2^m. Works
-    for any batch shape; N is capped.
+    for any batch shape; N is capped. The last batch axis shares one scaling
+    exponent; each index of the axes before it (nodes) gets its own, so a
+    node's bits do not depend on the row it is in.
     """
     m = mat.chart_dim
     n = mat.split.dim
@@ -423,11 +444,17 @@ def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
         col[..., index[i], :, :] = c * g[None, :] if len(i) % 2 == 1 else c
     col = col.reshape(batch + (slots, two_m * n, n))
 
-    nrm = _ring_norm(mat.components, m)
-    squarings = 0
-    if nrm > TAYLOR_RADIUS:
-        squarings = int(np.ceil(np.log2(nrm / TAYLOR_RADIUS)))
-        col = col / (2.0**squarings)
+    # Node axes (all batch axes but the last) get one exponent per node.
+    lead = batch[:-1]
+    nrm = _ring_norm(mat.components, m, lead)
+    if lead:
+        squarings = np.array([_squarings(x) for x in nrm.ravel().tolist()]).reshape(lead)
+        scale = np.array([2.0**s for s in squarings.ravel().tolist()])
+        col = col / scale.reshape(lead + (1,) * 4)
+    else:
+        squarings = _squarings(nrm)
+        if squarings:
+            col = col / (2.0**squarings)
 
     gather = _left_mult_gather(m, n)
     left = _left_mult(col, gather)
@@ -437,8 +464,14 @@ def graded_exp(mat: SuperMatrixForm) -> SuperMatrixForm:
     for j in range(1, TAYLOR_TERMS + 1):
         term = jet_matmul(left, term, m) / j
         acc = acc + term
-    for _ in range(squarings):
-        acc = jet_matmul(_left_mult(acc, gather), acc, m)
+    if lead:
+        for step in range(squarings.max(initial=0)):
+            live = squarings > step
+            sub = acc[live]
+            acc[live] = jet_matmul(_left_mult(sub, gather), sub, m)
+    else:
+        for _ in range(squarings):
+            acc = jet_matmul(_left_mult(acc, gather), acc, m)
 
     res = acc.reshape(batch + (slots, two_m, n, n))
     out: dict[tuple[int, ...], np.ndarray] = {}

@@ -48,7 +48,7 @@ from .exterior import (
     epsilon_sign,
     wedge,
 )
-from .jets import Jet, jet_constant, jet_coordinates
+from .jets import Jet, coeff_mul, jet_constant, jet_coordinates, jet_value
 from .quadrature import gauss_legendre, tail_cutoff
 from .quillen import MorphismBundle, SuperConnectionData, chern_form
 from .relative import RelativeCochain, p_chi
@@ -99,7 +99,7 @@ class EuclideanBundle:
         return self.base_dim + self.rank
 
     def fiber_part(self, point) -> np.ndarray:
-        return as_point(point).coords[self.base_dim :]
+        return as_point(point).coords[..., self.base_dim :]
 
     @staticmethod
     def flat(rank: int, base_dim: int) -> "EuclideanBundle":
@@ -135,8 +135,11 @@ def epsilon_d(rank: int) -> float:
 
 
 def zero_section(bundle: EuclideanBundle) -> Callable[[ChartPoint], bool]:
-    """The support predicate: whether a total-chart point lies on the zero section."""
-    return lambda p: float(np.linalg.norm(bundle.fiber_part(p))) < 1e-12
+    """The support predicate: whether a total-chart point lies on the zero section.
+
+    At a row it returns the mask of the nodes that do.
+    """
+    return lambda p: np.linalg.norm(bundle.fiber_part(p), axis=-1) < 1e-12
 
 
 def lift_to_total(fv: FormValue, base_dim: int, rank: int) -> FormValue:
@@ -178,8 +181,9 @@ def _half_curvature(w, d: int, m: int) -> FormValue:
 class _BaseFrame:
     """Quantities of one base point, shared by every fiber point over it.
 
-    ``w`` (lifted connection), ``half_f`` = (1/2) sum F[j,i] e_i e_j and, built on first
-    use, ``primitive_plan``: the closed primitive's (k, J, P_I, gamma) terms.
+    ``w`` (lifted connection), ``half_f`` = (1/2) sum F[j,i] e_i e_j and, built on
+    first use, ``euler`` = Pf(half_f) / eps_d (the relative pair's first member)
+    and ``primitive_plan``: the closed primitive's (k, J, P_I, gamma) terms.
     """
 
     def __init__(self, bundle: EuclideanBundle, base_coords):
@@ -187,6 +191,16 @@ class _BaseFrame:
         w_base = bundle.connection(ChartPoint(base_coords))
         self.w = [[lift_to_total(w_base[l][i], mb, d) for i in range(d)] for l in range(d)]
         self.half_f = _half_curvature(self.w, d, mb + d)
+
+    @cached_property
+    def euler(self) -> FormValue:
+        # The lifted connection has no fiber differentials, so the terms
+        # that carry one are zeros; only the base terms are kept.
+        d = len(self.w)
+        pf = pfaffian(self.half_f) * (1.0 / epsilon_d(d))
+        mb = pf.chart_dim - d
+        base_terms = {i: c for i, c in pf.terms.items() if not i or i[-1] <= mb}
+        return FormValue(pf.chart_dim, base_terms, validate=False)
 
     @cached_property
     def primitive_plan(self) -> list[tuple[int, tuple[int, ...], FormValue, float]]:
@@ -208,22 +222,31 @@ class _BaseFrame:
 def _per_base_point(base_dim: int, build: Callable[[np.ndarray], object]):
     """``p -> build(base coordinates of p)``, kept for the last base point only.
 
-    ``integrate_fiber`` visits all nodes over one base point in a row.
+    ``integrate_fiber`` visits all nodes over one base point in a row. The
+    nodes of a row must share their base coordinates (ValueError otherwise).
     """
     last = [None, None]
 
     def at(p: ChartPoint):
-        key = p.coords[:base_dim].tobytes()
+        base = p.coords[..., :base_dim]
+        if base.ndim > 1:
+            if not (base == base[0]).all():
+                raise ValueError(
+                    "the nodes of a row do not share their base coordinates: "
+                    f"{base.tolist()!r}"
+                )
+            base = base[0]
+        key = base.tobytes()
         if last[0] != key:
-            last[:] = key, build(p.coords[:base_dim].copy())
+            last[:] = key, build(base.copy())
         return last[1]
 
     return at
 
 
 class _FrameData:
-    """Per fiber point: ``xs``, r2 = |x|^2, eta_i = dx_i + sum_k x_k W[i,k] and
-    ``eta_e`` = sum_i eta_i e_i; f_t = -t^2 |x|^2 + t eta_e + base.half_f.
+    """Per fiber point or row: ``xs``, r2 = |x|^2, eta_i = dx_i + sum_k x_k W[i,k]
+    and ``eta_e`` = sum_i eta_i e_i; f_t = -t^2 |x|^2 + t eta_e + base.half_f.
     """
 
     __slots__ = ("base", "m", "d", "eta", "eta_e", "xs", "r2", "h")
@@ -237,9 +260,11 @@ class _FrameData:
         self.m = m
         self.d = d
         if jet_order == 0:
-            fiber = [complex(x) for x in p.coords[mb:]]
+            fiber = [complex(x) for x in p.coords[mb:]] if p.coords.ndim == 1 else list(
+                p.coords[:, mb:].T.astype(complex)
+            )
             one = 1.0
-            self.r2 = sum(x * x for x in fiber)
+            self.r2 = sum(coeff_mul(x, x) for x in fiber)
         else:
             coords = jet_coordinates(p.coords, order=1)
             fiber = coords[mb:]
@@ -257,15 +282,15 @@ class _FrameData:
         self.eta_e = FormValue.zero(m, d)
         for i in range(d):
             self.eta_e = self.eta_e + wedge(self.eta[i], generator_form(m, d, (i + 1,)))
-        r2v = self.r2.value if isinstance(self.r2, Jet) else self.r2
-        self.h = float(np.real(r2v))
+        h = np.real(jet_value(self.r2))
+        self.h = h if isinstance(h, np.ndarray) else float(h)
 
     def generator(self, t: float) -> FormValue:
         """t sum_i eta_i e_i + (1/2) F: f_t without its scalar part -t^2 |x|^2."""
         return self.base.half_f + self.eta_e * t
 
     def f_exp(self, t: float) -> FormValue:
-        return wedge_exp(self.generator(t), scalar_part=-(t * t) * self.r2)
+        return wedge_exp(self.generator(t), scalar_part=coeff_mul(-(t * t), self.r2))
 
     def x_element(self) -> FormValue:
         """sum_k x_k e_k, the fiber coordinates against the generators."""
@@ -294,9 +319,15 @@ def f_t_element(
     return frame.generator(t) + FormValue.scalar(-(t * t) * frame.r2, frame.m, frame.d)
 
 
-def _frames(bundle: EuclideanBundle, jet_order: int) -> Callable[[ChartPoint], _FrameData]:
+def _base_frames(bundle: EuclideanBundle) -> Callable[[ChartPoint], _BaseFrame]:
+    return _per_base_point(bundle.base_dim, lambda base: _BaseFrame(bundle, base))
+
+
+def _frames(
+    bundle: EuclideanBundle, jet_order: int, base_at=None
+) -> Callable[[ChartPoint], _FrameData]:
     """``p -> _FrameData`` at p, reusing the _BaseFrame of the last base point."""
-    base_at = _per_base_point(bundle.base_dim, lambda base: _BaseFrame(bundle, base))
+    base_at = base_at or _base_frames(bundle)
     return lambda p: _FrameData(bundle, p, jet_order, base_at(p))
 
 
@@ -351,10 +382,19 @@ def gamma_coefficient(k: int, index_i: tuple[int, ...], index_j: tuple[int, ...]
     return -0.5 * sign * _gamma_half(nj + 1) * e1 * e2
 
 
+def _power(x, n: int):
+    """x**n; a float node array takes Python's float power node by node."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**n for v in x.tolist()])
+    return x**n
+
+
 def _beta_closed(frame: _FrameData) -> FormValue:
     m = frame.m
     if isinstance(frame.r2, Jet):
         rinv = 1.0 / frame.r2.sqrt()
+    elif isinstance(frame.r2, np.ndarray):
+        rinv = 1.0 / np.sqrt(frame.r2.real)
     else:
         rinv = 1.0 / sqrt(float(np.real(frame.r2)))
     # eta_J only along the prefixes of the plan's J; a single index is eta_j.
@@ -369,8 +409,8 @@ def _beta_closed(frame: _FrameData) -> FormValue:
 
     total = FormValue.zero(m)
     for k, sub_j, p_i, g in frame.base.primitive_plan:
-        radial = frame.xs[k - 1] * rinv ** (len(sub_j) + 1)
-        total = total + wedge(eta_product(sub_j), p_i) * (g * radial)
+        radial = coeff_mul(frame.xs[k - 1], _power(rinv, len(sub_j) + 1))
+        total = total + wedge(eta_product(sub_j), p_i) * coeff_mul(g, radial)
     return total
 
 
@@ -388,14 +428,24 @@ def beta_wedge(
     """
     if method not in ("closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    frame_at = _frames(bundle, jet_order)
+    return _beta_field(bundle, method, _frames(bundle, jet_order))
 
+
+def _beta_field(bundle: EuclideanBundle, method: str, frame_at) -> FormField:
     def evaluate(p: ChartPoint) -> FormValue:
         frame = frame_at(p)
-        if not frame.h > 0.0:
-            raise ValueError(f"beta_wedge needs |x|^2 > 0; got {frame.h!r}")
+        positive = frame.h > 0.0
+        if not np.all(positive):
+            if isinstance(frame.h, float):
+                raise ValueError(f"beta_wedge needs |x|^2 > 0; got {frame.h!r}")
+            j = int(np.argmin(positive))
+            raise ValueError(
+                f"beta_wedge needs |x|^2 > 0; got {float(frame.h[j])!r} at node {j}"
+            )
         if method == "closed":
             return _beta_closed(frame)
+        if p.coords.ndim > 1:
+            raise ValueError("beta_wedge's quadrature route takes single points, not rows")
         t_hi = tail_cutoff(frame.h, 0.0)
         ts, ws = gauss_legendre(BETA_WEDGE_QUAD_ORDER, 0.0, t_hi)
         total = FormValue.zero(frame.m)
@@ -407,7 +457,7 @@ def beta_wedge(
     return FormField(
         bundle.total_dim,
         evaluate,
-        domain=lambda p: not on_zero_section(p),
+        domain=lambda p: np.logical_not(on_zero_section(p)),
         name=f"beta_wedge[{method}]",
     )
 
@@ -416,14 +466,14 @@ def thom_rel(bundle: EuclideanBundle, jet_order: int = 0) -> RelativeCochain:
     """The relative pair (Pfaffian form, fiberwise primitive), normalized.
 
     The first member is the Euler form of the base, lifted to the total
-    chart: it does not depend on the fiber coordinates.
+    chart: it does not depend on the fiber coordinates. It is the Pfaffian
+    of the same base-point curvature the primitive uses, so the connection
+    is read once per base point.
     """
     scale = 1.0 / epsilon_d(bundle.rank)
-    mb, d = bundle.base_dim, bundle.rank
-    euler = euler_form(bundle)
-    alpha_at = _per_base_point(mb, lambda base: lift_to_total(euler(base), mb, d))
-    alpha = FormField(bundle.total_dim, alpha_at, name="thom_alpha")
-    raw = beta_wedge(bundle, method="closed", jet_order=jet_order)
+    base_at = _base_frames(bundle)
+    alpha = FormField(bundle.total_dim, lambda p: base_at(p).euler, name="thom_alpha")
+    raw = _beta_field(bundle, "closed", _frames(bundle, jet_order, base_at))
     beta = FormField(
         bundle.total_dim,
         lambda p: raw(p) * scale,

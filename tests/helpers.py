@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: random polynomial forms with exact jets."""
+"""Shared builders for the test suite: random polynomial forms with exact jets,
+and the check that a row of nodes gives the bits of single points."""
 
 from __future__ import annotations
 
@@ -59,3 +60,45 @@ def poly_form_field(rng: np.random.Generator, m: int, degree: int, n_indices: in
 
 def rand_points(rng: np.random.Generator, m: int, n: int, lo: float = -1.5, hi: float = 1.5):
     return [ChartPoint(rng.uniform(lo, hi, m)) for _ in range(n)]
+
+
+def node_bits(coeff, j: int | None = None) -> tuple:
+    """Every bit of a coefficient, signed zeros included; ``j`` picks a node of a row.
+
+    A part a row shares across its nodes (no node axis) counts for node j too.
+    """
+
+    def at(a, row_ndim):
+        a = np.asarray(a)
+        if j is not None and a.ndim == row_ndim:
+            a = a[j]
+        return np.ascontiguousarray(a, dtype=complex).tobytes()
+
+    if isinstance(coeff, Jet):
+        hess = None if coeff.hess is None else at(coeff.hess, 3)
+        return ("jet", at(coeff.value, 1), at(coeff.grad, 2), hess)
+    return ("number", at(coeff, 1))
+
+
+def assert_row_matches_points(
+    field: FormField, coords: np.ndarray, same_keys: bool = True
+) -> None:
+    """One row call gives, node by node, the single-point form values bit for bit.
+
+    With ``same_keys`` every node has exactly the row's keys; otherwise a key
+    the row has beyond a node's own must be an exact zero at that node.
+    """
+    row = field(ChartPoint(coords))
+    for j, x in enumerate(coords):
+        point = field(ChartPoint(x))
+        assert set(point.terms) <= set(row.terms), (j, set(point.terms) - set(row.terms))
+        if same_keys:
+            assert set(point.terms) == set(row.terms), (j, set(row.terms) - set(point.terms))
+        for index, coeff in row.terms.items():
+            if index in point.terms:
+                assert node_bits(coeff, j) == node_bits(point.terms[index]), (j, index)
+            else:
+                _, *parts = node_bits(coeff, j)
+                assert all(
+                    p is None or not np.frombuffer(p, dtype=complex).any() for p in parts
+                ), (j, index)

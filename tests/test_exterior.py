@@ -22,7 +22,7 @@ from chernforms.exterior import (
     wedge,
 )
 from chernforms.jets import jet_coordinates
-from helpers import poly_form_field, rand_points
+from helpers import assert_row_matches_points, poly_form_field, rand_points
 
 LEIBNIZ_TOL = 1e-10
 DD_TOL = 1e-9
@@ -173,6 +173,34 @@ def test_field_domain_raises():
     assert field(ChartPoint([0.5])).value(()) == 1.0
     with pytest.raises(OutsideDomainError):
         field(ChartPoint([-0.5]))
+
+
+def test_field_domain_names_the_first_node_outside():
+    field = FormField(
+        1,
+        lambda p: FormValue.scalar(1.0, 1),
+        domain=lambda p: p.coords[..., 0] > 0,
+        name="halfline",
+    )
+    field(ChartPoint([[0.5], [1.5]]))
+    first = r"halfline evaluated at node 2 of a row, ChartPoint\(\[-0\.25\]\)"
+    with pytest.raises(OutsideDomainError, match=first):
+        field(ChartPoint([[0.5], [1.5], [-0.25], [-1.0]]))
+
+
+def test_chart_point_rejects_more_than_two_axes():
+    assert ChartPoint(np.zeros((3, 2))).dim == 2
+    with pytest.raises(ValueError, match=r"\(nodes, m\) row; got shape \(2, 3, 2\)"):
+        ChartPoint(np.zeros((2, 3, 2)))
+
+
+@pytest.mark.parametrize("dims", [None, (2, 3)])
+def test_cutoff_row_matches_points(dims):
+    """Nodes inside, across and outside the band, in one row."""
+    chi = smooth_cutoff(3, 0.3, 2.5, dims=dims)
+    coords = np.random.default_rng(8).uniform(-1.6, 1.6, (40, 3))
+    assert_row_matches_points(chi, coords)
+    assert_row_matches_points(exterior_derivative(chi), coords)
 
 
 def test_as_point_and_dims():

@@ -46,6 +46,7 @@ from chernforms.scenarios import (
 )
 from chernforms.superlinalg import ParitySplit, SuperMatrixForm, jet_slots, slots_form
 from chernforms.thom import spin_connection, spin_morphism
+from helpers import assert_row_matches_points
 
 FROZEN_TOL = 1e-10
 TRANSGRESSION_FD_TOL = 1e-6
@@ -476,3 +477,18 @@ def test_beta_needs_a_scalar_v_squared(monkeypatch):
     for field in (beta_form(b, TRIVIAL), bf1, bf2):
         with pytest.raises(ValueError, match="v\\^2 is not h I"):
             field(ChartPoint([0.8, -0.3]))
+
+
+@pytest.mark.parametrize("jet_order", [0, 1])
+def test_bott_chern_form_row_matches_points(jet_order):
+    """Node axes sit ahead of the t-axis and graded_exp scales each node on
+    its own, so a row of the Gaussian integral's nodes (|z| from 0 to 6, up to
+    seven squarings) gives every node its single-point bits."""
+    field = chern_form(bott_morphism(), SuperConnectionData(None), 1.0, jet_order=jet_order)
+    rng = np.random.default_rng(31)
+    r = np.concatenate([[0.0, 0.05], rng.uniform(0.0, 6.0, 30)])
+    phase = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    coords = np.column_stack([r * np.cos(phase), r * np.sin(phase)])
+    assert_row_matches_points(field, coords)
+    support = bott_morphism().support(ChartPoint(coords))
+    assert support.tolist() == [True] + [False] * (r.size - 1)

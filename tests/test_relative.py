@@ -208,9 +208,9 @@ def test_integrate_fiber_gaussian_vs_compact():
     """int (1 + x^2) e^{-r^2} dx dy over the plane, both quadrature modes."""
 
     def evaluate(p: ChartPoint) -> FormValue:
-        x, y = p.coords
+        x, y = p.coords[..., 0], p.coords[..., 1]
         val = (1.0 + x * x) * np.exp(-(x * x + y * y))
-        return FormValue(2, {(1, 2): val})
+        return FormValue(2, {(1, 2): val.astype(complex)})
 
     field = FormField(2, evaluate)
     want = 1.5 * np.pi
@@ -269,12 +269,36 @@ def test_integrate_fiber_keeps_base_part():
     """Fiberwise integration of a mixed form leaves a base form behind."""
 
     def evaluate(p: ChartPoint) -> FormValue:
-        th, x, y = p.coords
+        th, x, y = p.coords[..., 0], p.coords[..., 1], p.coords[..., 2]
         val = np.exp(-(x * x + y * y)) * np.cos(th)
-        return FormValue(3, {(1, 2, 3): val})
+        return FormValue(3, {(1, 2, 3): val.astype(complex)})
 
     field = FormField(3, evaluate)
     out = integrate_fiber(
         field, (2, 3), mode="gaussian", base_point=ChartPoint([0.5]), order=24
     )
     assert abs(out.value((1,)) - np.pi * np.cos(0.5)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["compact", "gaussian"])
+def test_integrate_fiber_calls_the_field_once_per_grid_row(mode):
+    """order^2 nodes in order calls of order nodes each: the nodes of a call
+    share the base point and the first fiber coordinate, the grid row."""
+    for order in (4, 8):
+        rows = []
+
+        def evaluate(p: ChartPoint) -> FormValue:
+            rows.append(p.coords.copy())
+            x, y = p.coords[..., 1], p.coords[..., 2]
+            return FormValue(3, {(1, 2, 3): np.exp(-(x * x + y * y)).astype(complex)})
+
+        options = {"half_width": 3.0} if mode == "compact" else {}
+        integrate_fiber(
+            FormField(3, evaluate), (2, 3), mode=mode, base_point=[0.7], order=order, **options
+        )
+        assert len(rows) == order
+        for coords in rows:
+            assert coords.shape == (order, 3)
+            assert (coords[:, 0] == 0.7).all()
+            assert (coords[:, 1] == coords[0, 1]).all()
+        assert len({coords[0, 1] for coords in rows}) == order

@@ -23,7 +23,7 @@ from chernforms.exterior import (
 )
 from chernforms.jets import Jet, jet_coordinates, jet_value
 from chernforms.quillen import ch_rel
-from chernforms.relative import d_rel, integrate_compact, integrate_fiber
+from chernforms.relative import d_rel, integrate_compact, integrate_fiber, p_chi
 from chernforms.scenarios import sphere_bundle, torus_bundle
 from chernforms.thom import (
     EuclideanBundle,
@@ -43,8 +43,10 @@ from chernforms.thom import (
     thom_c,
     thom_mq,
     thom_rel,
+    _per_base_point,
     zero_section,
 )
+from helpers import assert_row_matches_points
 
 CLOSED_TOL = 1e-8
 EFT_TOL = 1e-9
@@ -405,7 +407,7 @@ def _counting_connection(bundle: EuclideanBundle):
 
 @pytest.mark.parametrize("mode", ["compact", "gaussian"])
 def test_connection_reads_do_not_grow_with_the_fiber_rule(mode):
-    """Base-only quantities (W, F, the Euler form) do not grow with the fiber rule."""
+    """Base-only quantities (W, F, the Euler form) are read once per base point."""
     counts = []
     for order in (4, 8):
         bundle, calls = _counting_connection(torus_bundle(LAM))
@@ -418,4 +420,44 @@ def test_connection_reads_do_not_grow_with_the_fiber_rule(mode):
         for base in ([0.4, -1.1], [-2.0, 0.9]):
             integrate_fiber(field, (3, 4), mode=mode, base_point=base, order=order, **options)
         counts.append(calls[0])
-    assert counts[0] == counts[1] <= 2 * 2
+    # One connection read per base point: alpha is the Pfaffian of the
+    # same base-point curvature the primitive uses.
+    assert counts[0] == counts[1] == 2
+
+
+ROW_FIELDS = {
+    "thom_c": lambda b: thom_c(b, smooth_cutoff(4, 0.1225, 4.41, dims=(3, 4))),
+    "thom_mq": lambda b: thom_mq(b),
+    "p_chi(thom_rel)": lambda b: p_chi(thom_rel(b), smooth_cutoff(4, 0.25, 4.0, dims=(3, 4))),
+}
+
+
+def _fiber_row(rng, base, r_lo: float, r_hi: float, k: int = 16) -> np.ndarray:
+    r = rng.uniform(r_lo, r_hi, k)
+    phase = rng.uniform(0.0, 2.0 * np.pi, k)
+    return np.column_stack([np.tile(base, (k, 1)), r * np.cos(phase), r * np.sin(phase)])
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FIELDS))
+def test_thom_rows_match_points(name):
+    """One row call equals the single-point values node by node, bit for bit.
+
+    Nodes inside the cutoff's band all evaluate beta, so they share one key
+    set; a row across the band (and a plain Gaussian row) may only add keys
+    that are exact zeros at the nodes off it.
+    """
+    field = ROW_FIELDS[name](torus_bundle(LAM))
+    rng = np.random.default_rng(23)
+    for base in ([0.4, -1.1], [-2.0, 0.9]):
+        assert_row_matches_points(field, _fiber_row(rng, base, 0.6, 1.9))
+        assert_row_matches_points(field, _fiber_row(rng, base, 0.05, 2.6), same_keys=False)
+
+
+def test_per_base_point_rejects_a_row_over_two_base_points():
+    at = _per_base_point(2, lambda base: base.tolist())
+    assert at(ChartPoint([[0.4, -1.1, 0.3, 0.2], [0.4, -1.1, -0.5, 1.0]])) == [0.4, -1.1]
+    row = ChartPoint([[0.4, -1.1, 0.3, 0.2], [0.4, -1.2, 0.3, 0.2]])
+    with pytest.raises(ValueError, match="do not share their base coordinates"):
+        at(row)
+    with pytest.raises(ValueError, match="do not share their base coordinates"):
+        thom_mq(torus_bundle(LAM))(row)
